@@ -1,11 +1,9 @@
 """Annotation-priority ranking of fine-tuning samples from latent embeddings."""
 
 from .clustering import (
-    Assignment,
     ClusterModel,
     OrphanCluster,
     OrphanReport,
-    classify,
     classify_batch,
     detect_orphans,
     fit_core_clusters,
@@ -29,14 +27,13 @@ from .harness import (
     run_budget_sweep,
     surrogate_quality,
 )
-from .metrics import IouPredictor, fit_iou_predictor, iou, predict_iou, predict_iou_batch
-from .loop import LoopModel, fit_loop, loop_score, loop_scores
-from .pca import PcaModel, explained_variance_ratio, fit_pca, transform, transform_batch
+from .metrics import IouPredictor, fit_iou_predictor, iou, predict_iou_batch
+from .loop import LoopModel, fit_loop
+from .pca import PcaModel, explained_variance_ratio, fit_pca, transform_batch
 from .pipeline import PipelineParams, compute_scores, fit_models, score_finetune
 from .scoring import (
     Coefficients,
-    SampleFeatures,
-    SampleScore,
+    Scores,
     bps,
     mps,
     rank,

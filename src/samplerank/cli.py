@@ -23,7 +23,7 @@ import numpy as np
 
 from . import clustering, harness, metrics, pca, pipeline, scoring
 from .config import Config, ConfigError, dump_config, load_config
-from .data import load_embeddings
+from .data import SPLIT_CORE, SPLIT_FINETUNE, DataFormatError, load_embeddings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,7 +83,14 @@ def _load_corpus(path: str, what: str):
         raise ConfigError(f"no {what} embeddings path configured")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} embeddings file not found: {path}")
-    return load_embeddings(path)
+    corpus = load_embeddings(path)
+    if what == SPLIT_FINETUNE:
+        for index, rec in enumerate(corpus):
+            if rec.split == SPLIT_CORE:
+                raise DataFormatError(
+                    f"{path}: record {index} (id {rec.id}) is a core record, expected finetune"
+                )
+    return corpus
 
 
 def cmd_fit(config: Config) -> int:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataFormatError
+from ._dist import sq_dist_matrix
+from .data import read_model_file
 
 ERROR_IOU_THRESHOLD = 0.5
 
@@ -41,10 +42,6 @@ def default_cluster_count(n_samples: int, lo: int = 2, hi: int = 16) -> int:
     """sqrt(N/2) rule of thumb, clamped to [lo, hi] and to the sample count."""
     k = int(round(math.sqrt(n_samples / 2.0)))
     return max(min(max(lo, k), hi, n_samples), 1)
-
-
-def _squared_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    return ((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,7 +77,7 @@ def kmeans(
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.intp)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _squared_distances(points, centres)
+        d2 = sq_dist_matrix(points, centres)
         labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         m = d2[np.arange(n), labels]
 
@@ -88,13 +85,8 @@ def kmeans(
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             # re-seed each empty cluster from the farthest remaining point
-            far_order = np.argsort(-m, kind="stable")
-            for slot, centre_idx in enumerate(empties):
-                point_idx = far_order[slot]
-                centres[centre_idx] = points[point_idx]
-                labels[point_idx] = centre_idx
-                counts = np.bincount(labels, minlength=k)
-            d2 = _squared_distances(points, centres)
+            centres[empties] = points[np.argsort(-m, kind="stable")[: empties.size]]
+            d2 = sq_dist_matrix(points, centres)
             labels = d2.argmin(axis=1)
             m = d2[np.arange(n), labels]
             counts = np.bincount(labels, minlength=k)
@@ -111,7 +103,7 @@ def kmeans(
             break
         prev_inertia = inertia
 
-    d2 = _squared_distances(points, centres)
+    d2 = sq_dist_matrix(points, centres)
     labels = d2.argmin(axis=1)
     return centres, labels
 
@@ -176,15 +168,6 @@ class ClusterModel:
             )
         z = (reduced - self.feature_mean) / self.feature_scale
         return np.hstack([z, (self.iou_weight * ious)[:, None]])
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Nearest-cluster result for one sample."""
-
-    cluster_id: int
-    raw_dist: float
-    norm_dist: float | None = None
 
 
 @dataclass(frozen=True)
@@ -261,34 +244,24 @@ def fit_core_clusters(
     )
 
 
-def classify(model: ClusterModel, v_reduced: np.ndarray, iou_value: float) -> Assignment:
-    """Nearest non-error centroid in augmented space."""
-    point = model.augment(np.asarray(v_reduced, dtype=np.float64), np.asarray([iou_value]))[0]
-    core = model.core_indices
-    d2 = ((model.centroids[core] - point) ** 2).sum(axis=1)
-    best = int(d2.argmin())
-    return Assignment(cluster_id=int(core[best]), raw_dist=float(np.sqrt(d2[best])))
-
-
-def classify_batch(model: ClusterModel, reduced: np.ndarray, ious: np.ndarray) -> list[Assignment]:
+def classify_batch(
+    model: ClusterModel, reduced: np.ndarray, ious: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest non-error centroid of every sample: (cluster ids, raw distances)."""
     points = model.augment(reduced, ious)
     core = model.core_indices
-    d2 = _squared_distances(points, model.centroids[core])
+    d2 = sq_dist_matrix(points, model.centroids[core])
     best = d2.argmin(axis=1)
-    dists = np.sqrt(d2[np.arange(points.shape[0]), best])
-    return [
-        Assignment(cluster_id=int(core[b]), raw_dist=float(d)) for b, d in zip(best, dists)
-    ]
+    return core[best], np.sqrt(d2[np.arange(points.shape[0]), best])
 
 
-def normalize_distances(assignments: list[Assignment]) -> list[Assignment]:
+def normalize_distances(raw_dist: np.ndarray) -> np.ndarray:
     """Scale raw distances by the batch maximum into [0,1]; an all-zero batch stays zero."""
-    if not assignments:
+    raw_dist = np.asarray(raw_dist, dtype=np.float64)
+    if raw_dist.size == 0:
         raise ValueError("cannot normalise an empty batch")
-    top = max(a.raw_dist for a in assignments)
-    if top == 0.0:
-        return [replace(a, norm_dist=0.0) for a in assignments]
-    return [replace(a, norm_dist=a.raw_dist / top) for a in assignments]
+    top = raw_dist.max()
+    return np.zeros_like(raw_dist) if top == 0.0 else raw_dist / top
 
 
 def fit_error_clusters(
@@ -335,24 +308,17 @@ def error_membership(model: ClusterModel, ft_points: np.ndarray) -> np.ndarray:
     below the error threshold AND it lies within that cluster's
     95th-percentile radius; otherwise its weight is 0.
     """
-    n = ft_points.shape[0]
-    weights = np.zeros(n)
+    weights = np.zeros(ft_points.shape[0])
     err = model.error_indices
     if err.size == 0:
         return weights
     ious = ft_points[:, -1] / model.iou_weight
     candidates = np.flatnonzero(ious < ERROR_IOU_THRESHOLD)
-    if candidates.size == 0:
-        return weights
-    d = np.sqrt(_squared_distances(ft_points[candidates], model.centroids[err]))
+    d = np.sqrt(sq_dist_matrix(ft_points[candidates], model.centroids[err]))
     inside = d <= model.p95_radius[err][None, :]
-    max_size = model.member_count[err].max()
-    for row, sample in enumerate(candidates):
-        hits = np.flatnonzero(inside[row])
-        if hits.size == 0:
-            continue
-        nearest = hits[d[row, hits].argmin()]
-        weights[sample] = model.member_count[err[nearest]] / max_size
+    nearest = np.where(inside, d, np.inf).argmin(axis=1)
+    hit = inside.any(axis=1)
+    weights[candidates[hit]] = model.member_count[err[nearest[hit]]] / model.member_count[err].max()
     return weights
 
 
@@ -382,7 +348,7 @@ def detect_orphans(
 
     centres, labels = kmeans(ft_points, k_ft, seed)
     core = model.core_indices
-    gap = np.sqrt(_squared_distances(centres, model.centroids[core]))
+    gap = np.sqrt(sq_dist_matrix(centres, model.centroids[core]))
     orphaned = np.flatnonzero((gap > model.p95_radius[core][None, :]).all(axis=1))
 
     orph_weight = np.zeros(n)
@@ -417,14 +383,10 @@ def save_clusters(model: ClusterModel, path) -> None:
 
 
 def load_clusters(path) -> ClusterModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CLU_MAGIC:
-        raise DataFormatError(f"{path}: not a cluster model file")
-    k, r = struct.unpack_from("<II", blob, 4)
-    expected = 12 + 4 * (1 + 2 * r + k * (r + 1) + 2 * k) + k
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: size mismatch, expected {expected} bytes, got {len(blob)}")
+    blob, (k, r) = read_model_file(
+        path, _CLU_MAGIC, "a cluster model", "<II",
+        lambda k, r: 12 + 4 * (1 + 2 * r + k * (r + 1) + 2 * k) + k,
+    )
     off = 12
     iou_weight = float(np.frombuffer(blob, dtype="<f4", count=1, offset=off)[0])
     off += 4

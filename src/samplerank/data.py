@@ -133,6 +133,26 @@ class Corpus:
         return np.asarray(values, dtype=np.float64)
 
 
+def read_model_file(path, magic: bytes, kind: str, header: str, file_size) -> tuple[bytes, tuple]:
+    """Read a whole model file and unpack the *header* struct that follows its magic.
+
+    *kind* completes the message "not <kind> file" for a wrong magic;
+    ``file_size(*header_values)`` gives the exact size the file must have.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise DataFormatError(f"{path}: not {kind} file")
+    size = 4 + struct.calcsize(header)
+    if len(blob) < size:
+        raise DataFormatError(f"{path}: truncated header, {len(blob)} of {size} bytes")
+    values = struct.unpack_from(header, blob, 4)
+    expected = file_size(*values)
+    if len(blob) != expected:
+        raise DataFormatError(f"{path}: size mismatch, expected {expected} bytes, got {len(blob)}")
+    return blob, values
+
+
 def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
     """Write a corpus to *path*; ``load_embeddings`` reproduces it exactly."""
     if len(corpus) == 0:

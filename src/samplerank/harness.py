@@ -30,6 +30,7 @@ STRATEGY_PRIORITY_BPS = "priority_bps"
 STRATEGY_PRIORITY_MPS = "priority_mps"
 STRATEGY_RANDOM = "random"
 ALL_STRATEGIES = (STRATEGY_PRIORITY_BPS, STRATEGY_PRIORITY_MPS, STRATEGY_RANDOM)
+_PRIORITY_FORMULAS = {STRATEGY_PRIORITY_BPS: STRATEGY_BPS, STRATEGY_PRIORITY_MPS: STRATEGY_MPS}
 
 _RANDOM_STREAM_TAG = 0x5EED
 
@@ -49,20 +50,18 @@ def surrogate_quality(labeled_ids, ft_corpus: Corpus, truth: GroundTruth) -> flo
         labeled_pos = np.array([position[i] for i in labeled])
     except KeyError as exc:
         raise ValueError(f"selected id {exc.args[0]} is not in the fine-tuning pool") from None
-    x = ft_corpus.vectors()
-    d2 = sq_dist_matrix(x, x[labeled_pos])
-    nearest = d2.argmin(axis=1)
-    matches = truth.hidden_cluster_id[labeled_pos[nearest]] == truth.hidden_cluster_id
-    evaluated = ~truth.is_outlier
-    return float(matches[evaluated].mean())
+    tracker = _CoverageTracker(ft_corpus.vectors(), truth)
+    tracker.add(labeled_pos)
+    return tracker.quality()
 
 
 class _CoverageTracker:
     """Incremental 1-NN coverage along a growing selection.
 
     Adding points in selection order and updating on strictly smaller
-    distance reproduces exactly what ``surrogate_quality`` computes on the
-    same prefix (argmin keeps the earliest of tied neighbours).
+    distance gives every prefix the same nearest selected sample as one
+    pass over the whole prefix (argmin keeps the earliest of tied
+    neighbours).
     """
 
     def __init__(self, vectors: np.ndarray, truth: GroundTruth):
@@ -149,12 +148,9 @@ def run_budget_sweep(
         position = {rec_id: i for i, rec_id in enumerate(finetune.ids)}
 
         trajectories: dict[str, np.ndarray] = {}
-        if STRATEGY_PRIORITY_BPS in strategies:
-            ids = rank(scores, STRATEGY_BPS)
-            trajectories[STRATEGY_PRIORITY_BPS] = np.array([position[i] for i in ids])
-        if STRATEGY_PRIORITY_MPS in strategies:
-            ids = rank(scores, STRATEGY_MPS)
-            trajectories[STRATEGY_PRIORITY_MPS] = np.array([position[i] for i in ids])
+        for strategy, formula in _PRIORITY_FORMULAS.items():
+            if strategy in strategies:
+                trajectories[strategy] = np.array([position[i] for i in rank(scores, formula)])
         if STRATEGY_RANDOM in strategies:
             baseline_rng = np.random.default_rng([_RANDOM_STREAM_TAG, seed])
             trajectories[STRATEGY_RANDOM] = baseline_rng.permutation(spec.ft_n)

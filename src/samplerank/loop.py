@@ -108,16 +108,3 @@ def fit_loop(
         scores = np.maximum(0.0, erf(plof / (nplof * math.sqrt(2.0))))
     return LoopModel(points=points, k_nn=k_nn, lam=lam, nplof=nplof,
                      pdist=pdist, plof=plof, scores=scores)
-
-
-def loop_score(model: LoopModel, point_index: int) -> float:
-    """Outlier probability of one fitted point."""
-    n = model.points.shape[0]
-    if not 0 <= point_index < n:
-        raise IndexError(f"point index {point_index} out of range [0, {n})")
-    return float(model.scores[point_index])
-
-
-def loop_scores(model: LoopModel) -> np.ndarray:
-    """All fitted scores, aligned with the input order."""
-    return model.scores.copy()

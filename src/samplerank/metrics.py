@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import sq_dist_matrix
-from .data import BinaryMask, DataFormatError
+from .data import BinaryMask, read_model_file
 
 DEFAULT_KNN_K = 5
 
@@ -62,30 +62,13 @@ def fit_iou_predictor(points: np.ndarray, ious: np.ndarray, k: int = DEFAULT_KNN
     return IouPredictor(points=points, ious=ious, k=k)
 
 
-def predict_iou(predictor: IouPredictor, v: np.ndarray) -> float:
-    """Inverse-distance-weighted IoU of the k nearest references.
-
-    At distance zero the weighting degenerates, so exact matches return the
-    unweighted mean over all zero-distance neighbours instead.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (predictor.points.shape[1],):
-        raise ValueError(
-            f"query shape {v.shape} does not match reference dimension {predictor.points.shape[1]}"
-        )
-    dists = np.sqrt(((predictor.points - v) ** 2).sum(axis=1))
-    order = np.argsort(dists, kind="stable")[: predictor.k]
-    near = dists[order]
-    vals = predictor.ious[order]
-    zero = near == 0.0
-    if zero.any():
-        return float(vals[zero].mean())
-    weights = 1.0 / near
-    return float((weights * vals).sum() / weights.sum())
-
-
 def predict_iou_batch(predictor: IouPredictor, x: np.ndarray) -> np.ndarray:
-    """Vectorised ``predict_iou`` over the rows of an (m, R) matrix."""
+    """Inverse-distance-weighted IoU of the k nearest references, per row of an (m, R) matrix.
+
+    Neighbour ties go to the lower reference index. At distance zero the
+    weighting degenerates, so a row with exact matches gets the unweighted
+    mean over its zero-distance neighbours instead.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != predictor.points.shape[1]:
         raise ValueError("query matrix dimension does not match references")
@@ -116,14 +99,9 @@ def save_predictor(predictor: IouPredictor, path) -> None:
 
 
 def load_predictor(path) -> IouPredictor:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _IOP_MAGIC:
-        raise DataFormatError(f"{path}: not an IoU predictor file")
-    n, r, k = struct.unpack_from("<III", blob, 4)
-    expected = 16 + 4 * (n * r + n)
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: size mismatch, expected {expected} bytes, got {len(blob)}")
+    blob, (n, r, k) = read_model_file(
+        path, _IOP_MAGIC, "an IoU predictor", "<III", lambda n, r, k: 16 + 4 * (n * r + n)
+    )
     points = np.frombuffer(blob, dtype="<f4", count=n * r, offset=16).astype(np.float64).reshape(n, r)
     ious = np.frombuffer(blob, dtype="<f4", count=n, offset=16 + 4 * n * r).astype(np.float64)
     # float32 storage may nudge values a hair past the bounds

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, DataFormatError
+from .data import Corpus, read_model_file
 
 _PCA_MAGIC = b"PCA1"
 
@@ -116,21 +116,13 @@ def fit_pca(
     )
 
 
-def transform(model: PcaModel, v: np.ndarray) -> np.ndarray:
-    """Project one D-vector onto the retained components."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (model.dimension,):
-        raise ValueError(f"vector shape {v.shape} does not match dimension {model.dimension}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite values")
-    return model.components @ (v - model.mean)
-
-
 def transform_batch(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project an (N, D) matrix of row vectors."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dimension:
         raise ValueError(f"matrix shape {x.shape} does not match dimension {model.dimension}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix contains non-finite values")
     return (x - model.mean) @ model.components.T
 
 
@@ -150,14 +142,9 @@ def save_pca(model: PcaModel, path) -> None:
 
 
 def load_pca(path) -> PcaModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _PCA_MAGIC:
-        raise DataFormatError(f"{path}: not a PCA model file")
-    d, r = struct.unpack_from("<II", blob, 4)
-    expected = 12 + 4 * (1 + d + r * d + r)
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: size mismatch, expected {expected} bytes, got {len(blob)}")
+    blob, (d, r) = read_model_file(
+        path, _PCA_MAGIC, "a PCA model", "<II", lambda d, r: 12 + 4 * (1 + d + r * d + r)
+    )
     floats = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
     total_variance = float(floats[0])
     mean = floats[1 : 1 + d]

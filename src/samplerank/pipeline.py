@@ -15,7 +15,7 @@ import numpy as np
 
 from . import clustering, loop, metrics, pca
 from .data import Corpus
-from .scoring import Coefficients, SampleFeatures, SampleScore, score_all
+from .scoring import Coefficients, Scores, score_all
 
 PCA_FIT_POOLED = "pooled"
 PCA_FIT_CORE = "core"
@@ -93,15 +93,14 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: PipelineParams, se
 
 def score_finetune(
     models: FittedModels, finetune: Corpus, params: PipelineParams, seed: int = 0
-) -> list[SampleScore]:
+) -> Scores:
     """Compute every feature for the unlabelled pool and both priority scores."""
     if len(finetune) == 0:
-        return []
+        return score_all(*[np.empty(0)] * 6, coeffs=params.coefficients)
     ft_reduced = pca.transform_batch(models.reduction, finetune.vectors())
     pred_ious = metrics.predict_iou_batch(models.predictor, ft_reduced)
 
-    assignments = clustering.classify_batch(models.clusters, ft_reduced, pred_ious)
-    assignments = clustering.normalize_distances(assignments)
+    _, raw_dist = clustering.classify_batch(models.clusters, ft_reduced, pred_ious)
 
     ft_points = models.clusters.augment(ft_reduced, pred_ious)
     (seed_ft,) = _subseeds(seed, 3)[2:]
@@ -118,27 +117,24 @@ def score_finetune(
     k_nn = min(params.loop_k_nn, loop_points.shape[0] - 1)
     if k_nn >= 1:
         loop_model = loop.fit_loop(loop_points, k_nn=k_nn, lam=params.loop_lambda)
-        outlier_scores = loop.loop_scores(loop_model)[: len(finetune)]
+        outlier_scores = loop_model.scores[: len(finetune)]
     else:
         outlier_scores = np.zeros(len(finetune))
 
-    features = [
-        SampleFeatures(
-            id=rec.id,
-            dist=assignments[i].norm_dist,
-            pred_iou=float(np.clip(pred_ious[i], 0.0, 1.0)),
-            loop=float(outlier_scores[i]),
-            orph=float(report.orph_weight[i]),
-            err=float(report.err_weight[i]),
-        )
-        for i, rec in enumerate(finetune.records)
-    ]
-    return score_all(features, params.coefficients)
+    return score_all(
+        ids=finetune.ids,
+        dist=clustering.normalize_distances(raw_dist),
+        pred_iou=np.clip(pred_ious, 0.0, 1.0),
+        loop=outlier_scores,
+        orph=report.orph_weight,
+        err=report.err_weight,
+        coeffs=params.coefficients,
+    )
 
 
 def compute_scores(
     core: Corpus, finetune: Corpus, params: PipelineParams | None = None, seed: int = 0
-) -> list[SampleScore]:
+) -> Scores:
     """Full run over in-memory corpora; one master seed fixes every stage."""
     params = params or PipelineParams()
     models = fit_models(core, finetune, params, seed)

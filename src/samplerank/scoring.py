@@ -8,13 +8,16 @@ Two formulas, both mapping [0,1] features to a [0,1] priority:
 The coefficient sets are constrained to sum to 1, which is what keeps the
 scores inside [0,1]. The multiparty form suppresses isolated samples via
 the outlier probability and rewards membership in orphaned and error
-clusters.
+clusters. Features and scores travel as columns: one array per feature,
+aligned with the pool's sample order.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 _SUM_TOL = 1e-9
 
@@ -44,34 +47,30 @@ class Coefficients:
             raise ValueError("mps coefficients must sum to 1")
 
 
-def _check_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name}={value} outside [0,1]")
-    return value
+def _check_unit(ids=None, **features) -> None:
+    """Reject the first sample, in order, with a feature outside [0,1] or NaN."""
+    names = list(features)
+    columns = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in features.values()))
+    bad = np.stack([~((c >= 0.0) & (c <= 1.0)) for c in columns], axis=-1).reshape(-1, len(names))
+    if bad.any():
+        sample, which = np.argwhere(bad)[0]
+        where = "" if ids is None else f"sample {np.asarray(ids)[sample]}: "
+        value = columns[which].reshape(-1)[sample]
+        raise ValueError(f"{where}{names[which]}={value} outside [0,1]")
 
 
-def bps(dist: float, pred_iou: float, coeffs: Coefficients = Coefficients()) -> float:
-    """Basic priority: far from every known cluster and predicted to score poorly."""
-    dist = _check_unit("dist", dist)
-    pred_iou = _check_unit("pred_iou", pred_iou)
+def bps(dist, pred_iou, coeffs: Coefficients = Coefficients()):
+    """Basic priority: far from every known cluster and predicted to score poorly.
+
+    Takes scalars or equal-shape arrays and returns the same shape.
+    """
+    _check_unit(dist=dist, pred_iou=pred_iou)
     return coeffs.bps_a * dist + coeffs.bps_b * (1.0 - pred_iou)
 
 
-def mps(
-    orph: float,
-    err: float,
-    dist: float,
-    pred_iou: float,
-    loop: float,
-    coeffs: Coefficients = Coefficients(),
-) -> float:
-    """Multiparty priority with outlier suppression."""
-    orph = _check_unit("orph", orph)
-    err = _check_unit("err", err)
-    dist = _check_unit("dist", dist)
-    pred_iou = _check_unit("pred_iou", pred_iou)
-    loop = _check_unit("loop", loop)
+def mps(orph, err, dist, pred_iou, loop, coeffs: Coefficients = Coefficients()):
+    """Multiparty priority with outlier suppression; scalars or equal-shape arrays."""
+    _check_unit(orph=orph, err=err, dist=dist, pred_iou=pred_iou, loop=loop)
     inner = (
         coeffs.mps_a * orph
         + coeffs.mps_b * err
@@ -82,65 +81,58 @@ def mps(
 
 
 @dataclass(frozen=True)
-class SampleFeatures:
-    """Input bundle for one sample; every field is required and in [0,1]."""
+class Scores:
+    """Features and both priorities of a pool, one read-only column each.
 
-    id: int
-    dist: float
-    pred_iou: float
-    loop: float
-    orph: float
-    err: float
+    Entry i of every column belongs to sample ``ids[i]``; ids are uint64.
+    """
+
+    ids: np.ndarray
+    dist: np.ndarray
+    pred_iou: np.ndarray
+    loop: np.ndarray
+    orph: np.ndarray
+    err: np.ndarray
+    bps: np.ndarray
+    mps: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("dist", "pred_iou", "loop", "orph", "err"):
-            value = getattr(self, name)
-            if value is None:
-                raise ValueError(f"sample {self.id}: missing feature {name}")
-            object.__setattr__(self, name, _check_unit(name, value))
+        n = len(self.ids)
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name), dtype=np.uint64 if f.name == "ids" else np.float64)
+            if arr.shape != (n,):
+                raise ValueError(f"column {f.name} has shape {arr.shape}, expected ({n},)")
+            arr.setflags(write=False)
+            object.__setattr__(self, f.name, arr)
+
+    def __len__(self) -> int:
+        return self.ids.size
 
 
-@dataclass(frozen=True)
-class SampleScore:
-    id: int
-    dist: float
-    pred_iou: float
-    loop: float
-    orph: float
-    err: float
-    bps: float = field(default=0.0)
-    mps: float = field(default=0.0)
+def score_all(ids, dist, pred_iou, loop, orph, err, coeffs: Coefficients = Coefficients()) -> Scores:
+    """Evaluate both formulas over feature columns aligned with *ids*."""
+    dist, pred_iou, loop, orph, err = (
+        np.asarray(c, dtype=np.float64) for c in (dist, pred_iou, loop, orph, err)
+    )
+    _check_unit(ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err)
+    return Scores(
+        ids=ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err,
+        bps=bps(dist, pred_iou, coeffs),
+        mps=mps(orph, err, dist, pred_iou, loop, coeffs),
+    )
 
 
-def score_all(
-    features: list[SampleFeatures], coeffs: Coefficients = Coefficients()
-) -> list[SampleScore]:
-    """Evaluate both formulas for every sample."""
-    out = []
-    for f in features:
-        out.append(
-            SampleScore(
-                id=f.id,
-                dist=f.dist,
-                pred_iou=f.pred_iou,
-                loop=f.loop,
-                orph=f.orph,
-                err=f.err,
-                bps=bps(f.dist, f.pred_iou, coeffs),
-                mps=mps(f.orph, f.err, f.dist, f.pred_iou, f.loop, coeffs),
-            )
-        )
-    return out
-
-
-def rank(scores: list[SampleScore], which: str = STRATEGY_BPS) -> list[int]:
-    """Ids ordered by descending score; ties break toward the smaller id."""
+def _order(scores: Scores, which: str) -> np.ndarray:
     if which not in _STRATEGIES:
         raise ValueError(f"unknown strategy {which!r}, expected one of {_STRATEGIES}")
-    if not scores:
+    if len(scores) == 0:
         raise ValueError("cannot rank an empty score list")
-    key = (lambda s: s.bps) if which == STRATEGY_BPS else (lambda s: s.mps)
-    return [s.id for s in sorted(scores, key=lambda s: (-key(s), s.id))]
+    return np.lexsort((scores.ids, -getattr(scores, which)))
+
+
+def rank(scores: Scores, which: str = STRATEGY_BPS) -> list[int]:
+    """Ids ordered by descending score; ties break toward the smaller id."""
+    return scores.ids[_order(scores, which)].tolist()
 
 
 def select_budget(ranked: list[int], n: int) -> list[int]:
@@ -150,17 +142,15 @@ def select_budget(ranked: list[int], n: int) -> list[int]:
     return list(ranked[:n])
 
 
-def write_queue_csv(scores: list[SampleScore], which: str, path) -> None:
+def write_queue_csv(scores: Scores, which: str, path) -> None:
     """Export the ranked queue for annotation tooling."""
-    ordered = rank(scores, which)
-    by_id = {s.id: s for s in scores}
+    order = _order(scores, which)
+    names = (which, "dist", "pred_iou", "loop", "orph", "err")
+    columns = [getattr(scores, name)[order].tolist() for name in names]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "id", "score", "dist", "pred_iou", "loop", "orph", "err"])
-        for position, sample_id in enumerate(ordered, start=1):
-            s = by_id[sample_id]
-            value = s.bps if which == STRATEGY_BPS else s.mps
-            writer.writerow(
-                [position, sample_id]
-                + [f"{x:.9g}" for x in (value, s.dist, s.pred_iou, s.loop, s.orph, s.err)]
-            )
+        for position, (sample_id, *values) in enumerate(
+            zip(scores.ids[order].tolist(), *columns), start=1
+        ):
+            writer.writerow([position, sample_id] + [f"{x:.9g}" for x in values])

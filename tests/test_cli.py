@@ -91,6 +91,46 @@ class TestFitAndRank:
         assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(tmp_path / "wrong.emb")]) == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("name,header_size", [
+        ("pca.bin", 12), ("clusters.bin", 12), ("iou_refs.bin", 16),
+    ])
+    def test_truncated_model_file_exits_2_naming_it(
+        self, embedding_files, tmp_path, capsys, name, header_size
+    ):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        blob = (tmp_path / name).read_bytes()
+        for size in range(header_size + 1):
+            (tmp_path / name).write_bytes(blob[:size])
+            capsys.readouterr()
+            assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2, size
+            assert name in capsys.readouterr().err, size
+
+    def test_core_split_pool_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        out = str(tmp_path)
+        assert main(["--out-dir", out, "fit", "--core", str(core), "--finetune", str(core)]) == 2
+        err = capsys.readouterr().err
+        assert "core.emb" in err and "record 0" in err
+        assert main(["--out-dir", out, "fit", "--core", str(core)]) == 0
+        assert main(["--out-dir", out, "rank", "--finetune", str(core)]) == 2
+        err = capsys.readouterr().err
+        assert "core.emb" in err and "record 0" in err
+        assert not (tmp_path / "queue.csv").exists()
+
+    def test_mixed_split_csv_pool_names_first_core_record(self, embedding_files, tmp_path, capsys):
+        from samplerank.data import Corpus, load_embeddings
+
+        core, ft = embedding_files
+        pool = load_embeddings(ft).records[:3] + load_embeddings(core).records[5:7]
+        save_embeddings(Corpus(pool), tmp_path / "mixed.csv", "csv")
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(tmp_path / "mixed.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "mixed.csv" in err and f"record 3 (id {pool[3].id})" in err
+
+
 class TestSimulate:
     def test_outputs_and_row_count(self, tmp_path):
         cfg = _sim_config(tmp_path)

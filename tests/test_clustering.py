@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from samplerank.clustering import (
-    Assignment,
     ClusterModel,
-    classify,
     classify_batch,
     default_cluster_count,
     detect_orphans,
+    error_membership,
     fit_core_clusters,
     fit_error_clusters,
     kmeans,
@@ -92,9 +91,9 @@ class TestCoreClusterFit:
         _, plain_labels = kmeans(z, 3, seed=9)
         model_lo = fit_core_clusters(reduced, np.full(90, 0.2), k=3, seed=9)
         model_hi = fit_core_clusters(reduced, np.full(90, 0.9), k=3, seed=9)
-        for model in (model_lo, model_hi):
-            fitted = [classify(model, v, 0.2 if model is model_lo else 0.9) for v in reduced]
-            assert _partition([a.cluster_id for a in fitted]) == _partition(plain_labels)
+        for model, iou_value in ((model_lo, 0.2), (model_hi, 0.9)):
+            fitted, _ = classify_batch(model, reduced, np.full(90, iou_value))
+            assert _partition(fitted) == _partition(plain_labels)
 
     def test_iou_weight_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -114,19 +113,19 @@ class TestClassify:
         )
 
     def test_exact_centroid_gives_zero_distance(self):
-        a = classify(self._simple_model(), np.array([2.0]), 0.5)
-        assert a.cluster_id == 1 and a.raw_dist == 0.0
+        ids, dists = classify_batch(self._simple_model(), np.array([[2.0]]), np.array([0.5]))
+        assert ids.tolist() == [1] and dists.tolist() == [0.0]
 
     def test_tie_goes_to_lowest_index(self):
-        a = classify(self._simple_model(), np.array([1.0]), 0.5)
-        assert a.cluster_id == 0
+        ids, _ = classify_batch(self._simple_model(), np.array([[1.0]]), np.array([0.5]))
+        assert ids.tolist() == [0]
 
     def test_blob_point_lands_in_nearest_blob(self):
         rng = np.random.default_rng(6)
         reduced = _blobs(rng, [(0, 0), (10, 10)], 50)
         model = fit_core_clusters(reduced, np.full(100, 0.8), k=2, seed=4)
-        near_ten = classify(model, np.array([9.0, 9.0]), 0.8)
-        raw = model.centroids[near_ten.cluster_id, :-1] * model.feature_scale + model.feature_mean
+        (near_ten,), _ = classify_batch(model, np.array([[9.0, 9.0]]), np.array([0.8]))
+        raw = model.centroids[near_ten, :-1] * model.feature_scale + model.feature_mean
         assert np.linalg.norm(raw - np.array([10, 10])) < 1.0
 
     def test_refit_points_return_their_cluster_and_batch_agrees(self):
@@ -134,36 +133,34 @@ class TestClassify:
         reduced = _blobs(rng, [(0, 0), (8, 8)], 40)
         ious = rng.uniform(0.6, 0.9, 80)
         model = fit_core_clusters(reduced, ious, k=2, seed=5)
-        singles = [classify(model, v, i) for v, i in zip(reduced, ious)]
-        batch = classify_batch(model, reduced, ious)
-        assert [a.cluster_id for a in singles] == [a.cluster_id for a in batch]
-        counts = np.bincount([a.cluster_id for a in batch], minlength=2)
+        ids, dists = classify_batch(model, reduced, ious)
+        for row, point in enumerate(model.augment(reduced, ious)):
+            d2 = ((model.centroids - point) ** 2).sum(axis=1)
+            assert ids[row] == int(d2.argmin())
+            assert dists[row] == np.sqrt(d2.min())
+        counts = np.bincount(ids, minlength=2)
         assert sorted(counts.tolist()) == sorted(model.member_count.tolist())
 
 
 class TestNormalizeDistances:
     def test_linear_scaling(self):
-        batch = [Assignment(0, 0.0), Assignment(0, 2.0), Assignment(1, 4.0)]
-        normed = normalize_distances(batch)
-        assert [a.norm_dist for a in normed] == [0.0, 0.5, 1.0]
+        assert normalize_distances(np.array([0.0, 2.0, 4.0])).tolist() == [0.0, 0.5, 1.0]
 
     def test_all_zero_batch(self):
-        normed = normalize_distances([Assignment(0, 0.0), Assignment(1, 0.0)])
-        assert [a.norm_dist for a in normed] == [0.0, 0.0]
+        assert normalize_distances(np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
 
     def test_single_sample(self):
-        assert normalize_distances([Assignment(0, 7.0)])[0].norm_dist == 1.0
+        assert normalize_distances(np.array([7.0])).tolist() == [1.0]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            normalize_distances([])
+            normalize_distances(np.array([]))
 
     def test_order_preserving(self):
         rng = np.random.default_rng(8)
         raw = rng.uniform(0, 5, 30)
-        normed = normalize_distances([Assignment(0, d) for d in raw])
         order = np.argsort(raw)
-        values = np.array([a.norm_dist for a in normed])
+        values = normalize_distances(raw)
         assert np.all(np.diff(values[order]) >= 0)
         assert np.all((values >= 0) & (values <= 1))
 
@@ -208,8 +205,51 @@ class TestErrorClusters:
         ious = np.array([0.2, 0.3, 0.9, 0.9])
         model = fit_core_clusters(reduced, ious, k=2, seed=3)
         folded = fit_error_clusters(model, reduced, ious, k_err=2, seed=3)
-        for v, i in zip(reduced, ious):
-            assert not folded.is_error[classify(folded, v, i).cluster_id]
+        ids, _ = classify_batch(folded, reduced, ious)
+        assert not folded.is_error[ids].any()
+
+
+class TestErrorMembership:
+    def test_nearest_containing_error_cluster_sets_the_weight(self):
+        # one core and two overlapping error clusters (sizes 4 and 2) on a line
+        model = ClusterModel(
+            centroids=np.array([[0.0, 0.9], [5.0, 0.2], [7.0, 0.2]]),
+            iou_weight=1.0,
+            feature_mean=np.zeros(1),
+            feature_scale=np.ones(1),
+            member_count=np.array([10, 4, 2]),
+            p95_radius=np.array([1.0, 3.0, 3.0]),
+            is_error=np.array([False, True, True]),
+        )
+        points = np.array([
+            [6.5, 0.2],   # inside both, nearer the small one
+            [3.0, 0.2],   # inside the big one only
+            [9.5, 0.2],   # inside the small one only
+            [20.0, 0.2],  # inside neither
+            [6.5, 0.8],   # inside both, but IoU above the threshold
+        ])
+        assert error_membership(model, points).tolist() == [0.5, 1.0, 0.5, 0.0, 0.0]
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(24)
+        reduced = _blobs(rng, [(0, 0), (4, 4), (8, 0)], 40)
+        ious = rng.uniform(0.0, 0.8, 120)
+        model = fit_core_clusters(reduced, ious, k=3, seed=25)
+        model = fit_error_clusters(model, reduced, ious, k_err=4, seed=26)
+        points = model.augment(reduced + 0.5 * rng.normal(size=reduced.shape), ious)
+
+        err = model.error_indices
+        expected = np.zeros(len(points))
+        for row, point in enumerate(points):
+            if point[-1] / model.iou_weight >= 0.5:
+                continue
+            d = np.sqrt(((model.centroids[err] - point) ** 2).sum(axis=1))
+            hits = np.flatnonzero(d <= model.p95_radius[err])
+            if hits.size:
+                nearest = hits[d[hits].argmin()]
+                expected[row] = model.member_count[err[nearest]] / model.member_count[err].max()
+        assert np.count_nonzero(expected) > 10
+        assert error_membership(model, points).tolist() == expected.tolist()
 
 
 class TestOrphans:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from samplerank.loop import fit_loop, loop_score, loop_scores
+from samplerank.loop import fit_loop
 
 
 def _scalar_loop_oracle(points, k_nn, lam):
@@ -77,13 +77,14 @@ class TestPlantedOutlierFixture:
         np.testing.assert_allclose(self.model.scores, oracle, atol=1e-9)
 
     def test_outlier_scores_high(self):
-        assert loop_score(self.model, 100) > 0.95
+        assert self.model.scores[100] > 0.95
 
     def test_grid_median_scores_low(self):
         assert float(np.median(self.model.scores[:100])) < 0.3
 
     def test_scores_in_unit_interval(self):
-        scores = loop_scores(self.model)
+        scores = self.model.scores
+        assert scores.shape == (101,)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_moving_the_outlier_farther_never_decreases_its_score(self):
@@ -91,7 +92,7 @@ class TestPlantedOutlierFixture:
         last = 0.0
         for span in (3, 6, 20, 60, 200):
             pts = np.vstack([grid, [[9.0 + span * 9.0, 9.0]]])
-            score = loop_score(fit_loop(pts, k_nn=10, lam=3.0), 100)
+            score = fit_loop(pts, k_nn=10, lam=3.0).scores[100]
             assert score >= last - 1e-12
             last = score
 
@@ -117,7 +118,7 @@ class TestScoreFormula:
         pts = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
         model = fit_loop(pts, k_nn=2, lam=3.0)
         assert model.plof[2] == pytest.approx(0.0, abs=1e-12)
-        assert loop_score(model, 2) == 0.0
+        assert model.scores[2] == 0.0
 
     def test_erf_at_one_sigma_of_plof(self):
         # any point whose PLOF equals nPLOF must score erf(1/sqrt(2))
@@ -146,8 +147,9 @@ class TestScoreFormula:
 
     def test_index_out_of_range(self):
         model = fit_loop(np.random.default_rng(2).normal(size=(10, 2)), k_nn=3)
+        assert model.scores.shape == (10,)
         with pytest.raises(IndexError):
-            loop_score(model, 10)
+            model.scores[10]
 
     def test_random_cloud_matches_oracle(self):
         rng = np.random.default_rng(3)

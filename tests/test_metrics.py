@@ -8,10 +8,20 @@ from samplerank.metrics import (
     fit_iou_predictor,
     iou,
     load_predictor,
-    predict_iou,
     predict_iou_batch,
     save_predictor,
 )
+
+
+def _predict_one(predictor, v):
+    """One query at a time: stable sort of distances, inverse-distance weights."""
+    dists = np.sqrt(((predictor.points - v) ** 2).sum(axis=1))
+    order = np.argsort(dists, kind="stable")[: predictor.k]
+    near, vals = dists[order], predictor.ious[order]
+    if (near == 0.0).any():
+        return float(vals[near == 0.0].mean())
+    weights = 1.0 / near
+    return float((weights * vals).sum() / weights.sum())
 
 
 def _mask(bits):
@@ -95,35 +105,35 @@ class TestPredictorFit:
 class TestPrediction:
     def test_exact_match_returns_reference_value(self):
         p = fit_iou_predictor(np.array([[0.0], [2.0], [5.0]]), np.array([0.3, 0.7, 0.9]), k=2)
-        assert predict_iou(p, np.array([2.0])) == 0.7
+        assert predict_iou_batch(p, np.array([[2.0]])).tolist() == [0.7]
 
     def test_equidistant_pair_averages(self):
         p = fit_iou_predictor(np.array([[-1.0], [1.0]]), np.array([0.2, 0.8]), k=2)
-        assert predict_iou(p, np.array([0.0])) == pytest.approx(0.5)
+        assert predict_iou_batch(p, np.array([[0.0]]))[0] == pytest.approx(0.5)
 
     def test_inverse_distance_weighting_hand_value(self):
         # refs at x=0 (iou 1) and x=3 (iou 0), query x=1: weights 1 and 1/2
         p = fit_iou_predictor(np.array([[0.0], [3.0]]), np.array([1.0, 0.0]), k=2)
-        assert predict_iou(p, np.array([1.0])) == pytest.approx(2 / 3)
+        assert predict_iou_batch(p, np.array([[1.0]]))[0] == pytest.approx(2 / 3)
 
     def test_result_bounded_by_neighbour_extremes(self):
         rng = np.random.default_rng(44)
         p = fit_iou_predictor(rng.normal(size=(50, 3)), rng.uniform(size=50), k=5)
-        for _ in range(100):
-            value = predict_iou(p, rng.normal(size=3))
-            assert 0.0 <= value <= 1.0
+        values = predict_iou_batch(p, rng.normal(size=(100, 3)))
+        assert values.shape == (100,)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_dimension_mismatch(self):
         p = fit_iou_predictor(np.ones((4, 2)), np.full(4, 0.5), k=1)
         with pytest.raises(ValueError, match="dimension|shape"):
-            predict_iou(p, np.ones(3))
+            predict_iou_batch(p, np.ones((1, 3)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(45)
         p = fit_iou_predictor(rng.normal(size=(30, 4)), rng.uniform(size=30), k=5)
         queries = rng.normal(size=(25, 4))
         batch = predict_iou_batch(p, queries)
-        single = np.array([predict_iou(p, q) for q in queries])
+        single = np.array([_predict_one(p, q) for q in queries])
         np.testing.assert_allclose(batch, single, rtol=0, atol=0)
 
     def test_batch_handles_exact_matches(self):

@@ -9,7 +9,6 @@ from samplerank.pca import (
     fit_pca,
     load_pca,
     save_pca,
-    transform,
     transform_batch,
 )
 
@@ -60,11 +59,11 @@ class TestTransform:
         self.model = fit_pca(self.x, r=6)
 
     def test_mean_maps_to_zero(self):
-        np.testing.assert_allclose(transform(self.model, self.model.mean), np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(transform_batch(self.model, self.model.mean[None])[0], np.zeros(6), atol=1e-12)
 
     def test_component_direction_maps_to_unit_axis(self):
         for i in range(3):
-            out = transform(self.model, self.model.mean + self.model.components[i])
+            out = transform_batch(self.model, (self.model.mean + self.model.components[i])[None])[0]
             np.testing.assert_allclose(out, np.eye(6)[i], atol=1e-9)
 
     def test_full_rank_preserves_norms(self):
@@ -72,7 +71,7 @@ class TestTransform:
         for _ in range(20):
             v = rng.normal(size=6)
             assert abs(
-                np.linalg.norm(transform(self.model, v)) - np.linalg.norm(v - self.model.mean)
+                np.linalg.norm(transform_batch(self.model, v[None])[0]) - np.linalg.norm(v - self.model.mean)
             ) < 1e-6
 
     def test_full_rank_preserves_pairwise_distances(self):
@@ -85,11 +84,11 @@ class TestTransform:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            transform(self.model, np.ones(4))
+            transform_batch(self.model, np.ones((1, 4)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            transform(self.model, np.array([np.inf, 0, 0, 0, 0, 0]))
+            transform_batch(self.model, np.array([[np.inf, 0, 0, 0, 0, 0]]))
 
 
 class TestModelProperties:
@@ -110,7 +109,7 @@ class TestModelProperties:
         errors = []
         for r in range(1, 9):
             model = fit_pca(x, r=r)
-            recon = model.mean + model.components.T @ transform(model, v)
+            recon = model.mean + model.components.T @ transform_batch(model, v[None])[0]
             errors.append(np.linalg.norm(v - recon))
         assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
 

@@ -5,8 +5,7 @@ import pytest
 
 from samplerank.scoring import (
     Coefficients,
-    SampleFeatures,
-    SampleScore,
+    Scores,
     bps,
     mps,
     rank,
@@ -88,34 +87,65 @@ class TestMultipartyScore:
             assert mps(orph, err, dist, pred, lp + eps) <= base_m
 
 
+def _features(n, seed):
+    """Random feature columns for ids 0..n-1."""
+    rng = np.random.default_rng(seed)
+    names = ("dist", "pred_iou", "loop", "orph", "err")
+    return dict(ids=np.arange(n), **{name: rng.uniform(size=n) for name in names})
+
+
 class TestScoreAll:
     def test_empty_input(self):
-        assert score_all([]) == []
+        scores = score_all([], [], [], [], [], [])
+        assert len(scores) == 0
+        assert scores.ids.dtype == np.uint64 and scores.bps.shape == (0,)
 
     def test_single_sample_is_recomputable(self):
-        feats = [SampleFeatures(id=3, dist=0.2, pred_iou=0.6, loop=0.1, orph=0.5, err=0.0)]
-        (s,) = score_all(feats)
-        assert s.bps == bps(0.2, 0.6)
-        assert s.mps == mps(0.5, 0.0, 0.2, 0.6, 0.1)
+        s = score_all(ids=[3], dist=[0.2], pred_iou=[0.6], loop=[0.1], orph=[0.5], err=[0.0])
+        assert s.ids.tolist() == [3]
+        assert s.bps.tolist() == [bps(0.2, 0.6)]
+        assert s.mps.tolist() == [mps(0.5, 0.0, 0.2, 0.6, 0.1)]
+
+    def test_columns_match_scalar_formula_calls_exactly(self):
+        f = _features(200, seed=6)
+        s = score_all(**f)
+        for i in range(200):
+            assert s.bps[i] == bps(float(f["dist"][i]), float(f["pred_iou"][i]))
+            assert s.mps[i] == mps(*(float(f[n][i]) for n in ("orph", "err", "dist", "pred_iou", "loop")))
 
     def test_bps_ordering_follows_dist_when_other_features_equal(self):
-        feats = [
-            SampleFeatures(id=i, dist=d, pred_iou=0.5, loop=0.0, orph=0.0, err=0.0)
-            for i, d in enumerate([0.1, 0.9, 0.5])
-        ]
-        scores = score_all(feats)
+        zeros = np.zeros(3)
+        scores = score_all(ids=[0, 1, 2], dist=[0.1, 0.9, 0.5], pred_iou=np.full(3, 0.5),
+                           loop=zeros, orph=zeros, err=zeros)
         assert rank(scores, "bps") == [1, 2, 0]
 
     def test_missing_feature_rejected(self):
-        with pytest.raises(ValueError, match="missing feature"):
-            SampleFeatures(id=0, dist=None, pred_iou=0.5, loop=0.0, orph=0.0, err=0.0)
+        zeros = np.zeros(1)
+        with pytest.raises(ValueError, match=r"sample 0: dist=nan outside \[0,1\]"):
+            score_all(ids=[0], dist=[np.nan], pred_iou=[0.5], loop=zeros, orph=zeros, err=zeros)
+
+    def test_first_bad_sample_is_named(self):
+        f = _features(3, seed=7)
+        f["ids"] = np.array([7, 8, 9])
+        f["loop"][1:] = [1.5, 0.5]
+        f["dist"][2] = -1.0
+        with pytest.raises(ValueError, match=r"sample 8: loop=1.5 outside"):
+            score_all(**f)
+
+    def test_columns_are_read_only_and_equal_length(self):
+        s = score_all(**_features(4, seed=8))
+        with pytest.raises(ValueError):
+            s.bps[0] = 0.0
+        with pytest.raises(ValueError, match="shape"):
+            Scores(ids=[1, 2], dist=[0.0], pred_iou=[0.0, 0.0], loop=[0.0, 0.0],
+                   orph=[0.0, 0.0], err=[0.0, 0.0], bps=[0.0, 0.0], mps=[0.0, 0.0])
 
 
-def _scores(values: dict[int, float]) -> list[SampleScore]:
-    return [
-        SampleScore(id=i, dist=0, pred_iou=1, loop=0, orph=0, err=0, bps=v, mps=v / 2)
-        for i, v in values.items()
-    ]
+def _scores(values: dict[int, float]) -> Scores:
+    n = len(values)
+    bps_values = np.array(list(values.values()), dtype=np.float64)
+    return Scores(ids=list(values), dist=np.zeros(n), pred_iou=np.ones(n), loop=np.zeros(n),
+                  orph=np.zeros(n), err=np.zeros(n), bps=bps_values, mps=bps_values / 2)
 
 
 class TestRank:
@@ -126,9 +156,9 @@ class TestRank:
         assert rank(_scores({0: 0.1, 1: 0.2, 2: 0.3}), "bps") == [2, 1, 0]
 
     def test_input_permutation_irrelevant(self):
-        scores = _scores({i: float(v) for i, v in enumerate([0.3, 0.9, 0.1, 0.5])})
-        shuffled = [scores[2], scores[0], scores[3], scores[1]]
-        assert rank(scores, "bps") == rank(shuffled, "bps")
+        values = {i: float(v) for i, v in enumerate([0.3, 0.9, 0.1, 0.5])}
+        shuffled = {i: values[i] for i in (2, 0, 3, 1)}
+        assert rank(_scores(values), "bps") == rank(_scores(shuffled), "bps")
 
     def test_strictly_increasing_transform_preserves_ranking(self):
         rng = np.random.default_rng(3)
@@ -137,13 +167,20 @@ class TestRank:
         squashed = rank(_scores({i: v**3 * 0.9 for i, v in values.items()}), "bps")
         assert base == squashed
 
+    def test_matches_sorted_reference_with_ties_and_large_ids(self):
+        rng = np.random.default_rng(9)
+        ids = [2**64 - 1 - int(k) for k in rng.permutation(500)]
+        values = np.round(rng.uniform(size=500), 1)  # many exact ties
+        ranked = rank(_scores(dict(zip(ids, values.tolist()))), "bps")
+        assert ranked == sorted(ids, key=lambda i: (-values[ids.index(i)], i))
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             rank(_scores({0: 0.5}), "entropy")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            rank([], "bps")
+            rank(_scores({}), "bps")
 
 
 class TestSelectBudget:
@@ -169,19 +206,7 @@ class TestSelectBudget:
 
 class TestQueueCsv:
     def test_layout_and_determinism(self, tmp_path):
-        rng = np.random.default_rng(5)
-        feats = [
-            SampleFeatures(
-                id=i,
-                dist=float(rng.uniform()),
-                pred_iou=float(rng.uniform()),
-                loop=float(rng.uniform()),
-                orph=float(rng.uniform()),
-                err=float(rng.uniform()),
-            )
-            for i in range(10)
-        ]
-        scores = score_all(feats)
+        scores = score_all(**_features(10, seed=5))
         write_queue_csv(scores, "bps", tmp_path / "a.csv")
         write_queue_csv(scores, "bps", tmp_path / "b.csv")
         lines = (tmp_path / "a.csv").read_text().splitlines()
