@@ -92,6 +92,13 @@ class TestSurrogateQuality:
             last = quality
 
 
+def _direct_coverage(x, picked, truth):
+    """One full distance matrix and argmin: the reference for the incremental tracker."""
+    d2 = ((x[:, None, :] - x[picked][None, :, :]) ** 2).sum(axis=2)
+    matches = truth.hidden_cluster_id[picked[d2.argmin(axis=1)]] == truth.hidden_cluster_id
+    return float(matches[~truth.is_outlier].mean())
+
+
 class TestCoverageTracker:
     def test_incremental_matches_direct_evaluation(self):
         spec = replace(default_spec(seed=5), core_n=150, ft_n=200,
@@ -105,7 +112,7 @@ class TestCoverageTracker:
             tracker.add(order[consumed:budget])
             consumed = budget
             direct = surrogate_quality([pool.ids[i] for i in order[:budget]], pool, truth)
-            assert tracker.quality() == direct
+            assert tracker.quality() == direct == _direct_coverage(pool.vectors(), order[:budget], truth)
 
 
 @pytest.fixture(scope="module")
