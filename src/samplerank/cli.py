@@ -84,6 +84,8 @@ def _load_corpus(path: str, what: str):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} embeddings file not found: {path}")
     corpus = load_embeddings(path)
+    if len(corpus) == 0:
+        raise DataFormatError(f"{path}: no records")
     if what == SPLIT_FINETUNE:
         for index, rec in enumerate(corpus):
             if rec.split == SPLIT_CORE:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dist_matrix
-from .data import read_model_file
+from ._dist import nearest, sq_dist_matrix
+from .data import read_f32, read_model_file
 
 ERROR_IOU_THRESHOLD = 0.5
 
@@ -75,20 +75,15 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centres = _kmeans_pp_init(points, k, rng)
     prev_inertia = np.inf
-    labels = np.zeros(n, dtype=np.intp)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = sq_dist_matrix(points, centres)
-        labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
-        m = d2[np.arange(n), labels]
+        labels, m = map(np.ravel, nearest(points, centres))
 
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             # re-seed each empty cluster from the farthest remaining point
             centres[empties] = points[np.argsort(-m, kind="stable")[: empties.size]]
-            d2 = sq_dist_matrix(points, centres)
-            labels = d2.argmin(axis=1)
-            m = d2[np.arange(n), labels]
+            labels, m = map(np.ravel, nearest(points, centres))
             counts = np.bincount(labels, minlength=k)
 
         inertia = m.sum()
@@ -103,9 +98,7 @@ def kmeans(
             break
         prev_inertia = inertia
 
-    d2 = sq_dist_matrix(points, centres)
-    labels = d2.argmin(axis=1)
-    return centres, labels
+    return centres, nearest(points, centres)[0].ravel()
 
 
 @dataclass(frozen=True)
@@ -145,6 +138,10 @@ class ClusterModel:
             raise ValueError("per-cluster arrays must match centroid count")
         if np.any(self.p95_radius < 0.0):
             raise ValueError("radii must be nonnegative")
+        if flags.all():
+            raise ValueError("need at least one core (non-error) centroid")
+        if flags.any() and counts[flags].max() == 0:
+            raise ValueError("error clusters have no members")
 
     @property
     def reduced_dim(self) -> int:
@@ -250,9 +247,8 @@ def classify_batch(
     """Nearest non-error centroid of every sample: (cluster ids, raw distances)."""
     points = model.augment(reduced, ious)
     core = model.core_indices
-    d2 = sq_dist_matrix(points, model.centroids[core])
-    best = d2.argmin(axis=1)
-    return core[best], np.sqrt(d2[np.arange(points.shape[0]), best])
+    best, d2 = map(np.ravel, nearest(points, model.centroids[core]))
+    return core[best], np.sqrt(d2)
 
 
 def normalize_distances(raw_dist: np.ndarray) -> np.ndarray:
@@ -316,9 +312,9 @@ def error_membership(model: ClusterModel, ft_points: np.ndarray) -> np.ndarray:
     candidates = np.flatnonzero(ious < ERROR_IOU_THRESHOLD)
     d = np.sqrt(sq_dist_matrix(ft_points[candidates], model.centroids[err]))
     inside = d <= model.p95_radius[err][None, :]
-    nearest = np.where(inside, d, np.inf).argmin(axis=1)
+    closest = np.where(inside, d, np.inf).argmin(axis=1)
     hit = inside.any(axis=1)
-    weights[candidates[hit]] = model.member_count[err[nearest[hit]]] / model.member_count[err].max()
+    weights[candidates[hit]] = model.member_count[err[closest[hit]]] / model.member_count[err].max()
     return weights
 
 
@@ -383,34 +379,21 @@ def save_clusters(model: ClusterModel, path) -> None:
 
 
 def load_clusters(path) -> ClusterModel:
-    blob, (k, r) = read_model_file(
+    with read_model_file(
         path, _CLU_MAGIC, "a cluster model", "<II",
         lambda k, r: 12 + 4 * (1 + 2 * r + k * (r + 1) + 2 * k) + k,
-    )
-    off = 12
-    iou_weight = float(np.frombuffer(blob, dtype="<f4", count=1, offset=off)[0])
-    off += 4
-    mean = np.frombuffer(blob, dtype="<f4", count=r, offset=off).astype(np.float64)
-    off += 4 * r
-    scale = np.frombuffer(blob, dtype="<f4", count=r, offset=off).astype(np.float64)
-    off += 4 * r
-    centroids = (
-        np.frombuffer(blob, dtype="<f4", count=k * (r + 1), offset=off)
-        .astype(np.float64)
-        .reshape(k, r + 1)
-    )
-    off += 4 * k * (r + 1)
-    radii = np.frombuffer(blob, dtype="<f4", count=k, offset=off).astype(np.float64)
-    off += 4 * k
-    counts = np.frombuffer(blob, dtype="<u4", count=k, offset=off).astype(np.int64)
-    off += 4 * k
-    flags = np.frombuffer(blob, dtype="<u1", count=k, offset=off).astype(bool)
-    return ClusterModel(
-        centroids=centroids,
-        iou_weight=iou_weight,
-        feature_mean=mean,
-        feature_scale=scale,
-        member_count=counts,
-        p95_radius=radii,
-        is_error=flags,
-    )
+    ) as (blob, (k, r)):
+        centroids_end = 1 + 2 * r + k * (r + 1)
+        floats = read_f32(blob, 12, centroids_end + k)
+        off = 12 + 4 * floats.size
+        counts = np.frombuffer(blob, dtype="<u4", count=k, offset=off).astype(np.int64)
+        flags = np.frombuffer(blob, dtype="<u1", count=k, offset=off + 4 * k).astype(bool)
+        return ClusterModel(
+            centroids=floats[1 + 2 * r : centroids_end].reshape(k, r + 1),
+            iou_weight=float(floats[0]),
+            feature_mean=floats[1 : 1 + r],
+            feature_scale=floats[1 + r : 1 + 2 * r],
+            member_count=counts,
+            p95_radius=floats[centroids_end:],
+            is_error=flags,
+        )

@@ -14,7 +14,9 @@ Masks are plain or raw netpbm files (PGM P2/P5, PBM P1/P4).
 from __future__ import annotations
 
 import csv
+import io
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,11 +135,14 @@ class Corpus:
         return np.asarray(values, dtype=np.float64)
 
 
-def read_model_file(path, magic: bytes, kind: str, header: str, file_size) -> tuple[bytes, tuple]:
-    """Read a whole model file and unpack the *header* struct that follows its magic.
+@contextmanager
+def read_model_file(path, magic: bytes, kind: str, header: str, file_size):
+    """Read a whole model file; yields ``(blob, header_values)`` to the block that builds the model.
 
     *kind* completes the message "not <kind> file" for a wrong magic;
     ``file_size(*header_values)`` gives the exact size the file must have.
+    A ValueError raised in the block (a non-finite value, a broken model
+    invariant) leaves it as a DataFormatError naming the file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -150,7 +155,19 @@ def read_model_file(path, magic: bytes, kind: str, header: str, file_size) -> tu
     expected = file_size(*values)
     if len(blob) != expected:
         raise DataFormatError(f"{path}: size mismatch, expected {expected} bytes, got {len(blob)}")
-    return blob, values
+    try:
+        yield blob, values
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def read_f32(blob: bytes, offset: int, count: int) -> np.ndarray:
+    """*count* little-endian f32 values at byte *offset*, as float64; NaN or inf raises ValueError."""
+    values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite value at byte {offset + 4 * int(bad[0])}")
+    return values
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
@@ -245,8 +262,18 @@ def _save_csv(corpus: Corpus, path) -> None:
 
 
 def _load_csv(path) -> Corpus:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._dist import sq_dist_matrix
+from ._dist import nearest
 from .data import Corpus
 from .pipeline import PipelineParams, compute_scores
 from .scoring import STRATEGY_BPS, STRATEGY_MPS, rank
@@ -74,9 +74,7 @@ class _CoverageTracker:
     def add(self, positions: np.ndarray) -> None:
         if positions.size == 0:
             return
-        d2 = sq_dist_matrix(self._x, self._x[positions])
-        chunk_best = d2.argmin(axis=1)
-        chunk_d2 = d2[np.arange(d2.shape[0]), chunk_best]
+        chunk_best, chunk_d2 = map(np.ravel, nearest(self._x, self._x[positions]))
         better = chunk_d2 < self._best_d2
         self._best_d2[better] = chunk_d2[better]
         self._best_hidden[better] = self._hidden[positions[chunk_best[better]]]

@@ -10,9 +10,11 @@ context S(o):
     score(o) = max(0, erf( PLOF(o) / (nPLOF * sqrt(2)) ))
 
 Scores live in [0,1] and are invariant under translation and uniform
-scaling of the point set. The context set excludes the point itself;
-neighbours are found by exact linear scan, which is adequate at the
-corpus sizes this engine targets (thousands of points).
+scaling of the point set (Kriegel et al., CIKM 2009). The context set
+S(o) is the k nearest other points, ties going to the lower index; the
+scores need nothing else from the neighbourhood. The sets come from the
+exact tiled search in ``_dist``, which holds O(tile * n) memory at a time
+and never the n x n distance matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dist_matrix
+from ._dist import nearest
 
 DEFAULT_LOOP_K = 20
 DEFAULT_LOOP_LAMBDA = 3.0
@@ -47,29 +49,6 @@ class LoopModel:
             object.__setattr__(self, name, arr)
 
 
-def _neighbour_indices(points: np.ndarray, k_nn: int) -> np.ndarray:
-    """Indices of the k nearest neighbours of every point, excluding itself.
-
-    Ties are resolved toward the lower point index. argpartition narrows the
-    field cheaply but splits values tied at the k-th distance arbitrarily,
-    so rows with such boundary ties are re-selected exactly.
-    """
-    d2 = sq_dist_matrix(points, points)
-    np.fill_diagonal(d2, np.inf)
-    part = np.argpartition(d2, k_nn - 1, axis=1)[:, :k_nn]
-    part_d = np.take_along_axis(d2, part, axis=1)
-    order = np.lexsort((part, part_d), axis=1)
-    idx = np.take_along_axis(part, order, axis=1)
-
-    kth = np.take_along_axis(part_d, order[:, -1:], axis=1)
-    tied_rows = np.flatnonzero((d2 == kth).sum(axis=1) > (part_d == kth).sum(axis=1))
-    for i in tied_rows:
-        candidates = np.flatnonzero(d2[i] <= kth[i, 0])
-        refined = candidates[np.lexsort((candidates, d2[i, candidates]))]
-        idx[i] = refined[:k_nn]
-    return idx
-
-
 def fit_loop(
     points: np.ndarray, k_nn: int = DEFAULT_LOOP_K, lam: float = DEFAULT_LOOP_LAMBDA
 ) -> LoopModel:
@@ -90,9 +69,8 @@ def fit_loop(
         return LoopModel(points=points, k_nn=k_nn, lam=lam, nplof=0.0,
                          pdist=zeros, plof=zeros.copy(), scores=zeros.copy())
 
-    neighbours = _neighbour_indices(points, k_nn)
-    diffs = points[:, None, :] - points[neighbours]
-    sigma = np.sqrt((diffs**2).sum(axis=2).mean(axis=1))
+    neighbours, d2 = nearest(points, points, k_nn, exclude_self=True)
+    sigma = np.sqrt(d2.mean(axis=1))
     pdist = lam * sigma
     expected = pdist[neighbours].mean(axis=1)
     plof = np.where(

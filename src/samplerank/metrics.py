@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dist_matrix
-from .data import BinaryMask, read_model_file
+from ._dist import nearest
+from .data import BinaryMask, read_f32, read_model_file
 
 DEFAULT_KNN_K = 5
 
@@ -72,9 +72,8 @@ def predict_iou_batch(predictor: IouPredictor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != predictor.points.shape[1]:
         raise ValueError("query matrix dimension does not match references")
-    dists = np.sqrt(sq_dist_matrix(x, predictor.points))
-    order = np.argsort(dists, axis=1, kind="stable")[:, : predictor.k]
-    near = np.take_along_axis(dists, order, axis=1)
+    order, d2 = nearest(x, predictor.points, predictor.k)
+    near = np.sqrt(d2)
     vals = predictor.ious[order]
     zero = near == 0.0
     has_zero = zero.any(axis=1)
@@ -99,10 +98,10 @@ def save_predictor(predictor: IouPredictor, path) -> None:
 
 
 def load_predictor(path) -> IouPredictor:
-    blob, (n, r, k) = read_model_file(
+    with read_model_file(
         path, _IOP_MAGIC, "an IoU predictor", "<III", lambda n, r, k: 16 + 4 * (n * r + n)
-    )
-    points = np.frombuffer(blob, dtype="<f4", count=n * r, offset=16).astype(np.float64).reshape(n, r)
-    ious = np.frombuffer(blob, dtype="<f4", count=n, offset=16 + 4 * n * r).astype(np.float64)
-    # float32 storage may nudge values a hair past the bounds
-    return IouPredictor(points=points, ious=np.clip(ious, 0.0, 1.0), k=k)
+    ) as (blob, (n, r, k)):
+        points = read_f32(blob, 16, n * r).reshape(n, r)
+        ious = read_f32(blob, 16 + 4 * n * r, n)
+        # float32 storage may nudge values a hair past the bounds
+        return IouPredictor(points=points, ious=np.clip(ious, 0.0, 1.0), k=k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, read_model_file
+from .data import Corpus, read_f32, read_model_file
 
 _PCA_MAGIC = b"PCA1"
 
@@ -142,14 +142,13 @@ def save_pca(model: PcaModel, path) -> None:
 
 
 def load_pca(path) -> PcaModel:
-    blob, (d, r) = read_model_file(
+    with read_model_file(
         path, _PCA_MAGIC, "a PCA model", "<II", lambda d, r: 12 + 4 * (1 + d + r * d + r)
-    )
-    floats = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
-    total_variance = float(floats[0])
-    mean = floats[1 : 1 + d]
-    components = floats[1 + d : 1 + d + r * d].reshape(r, d)
-    eigenvalues = np.maximum(floats[1 + d + r * d :], 0.0)
-    return PcaModel(
-        mean=mean, components=components, eigenvalues=eigenvalues, total_variance=total_variance
-    )
+    ) as (blob, (d, r)):
+        floats = read_f32(blob, 12, 1 + d + r * d + r)
+        return PcaModel(
+            mean=floats[1 : 1 + d],
+            components=floats[1 + d : 1 + d + r * d].reshape(r, d),
+            eigenvalues=np.maximum(floats[1 + d + r * d :], 0.0),
+            total_variance=float(floats[0]),
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from samplerank.cli import main
-from samplerank.data import save_embeddings
+from samplerank.data import load_embeddings, save_embeddings
 from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
 from dataclasses import replace
 
@@ -107,6 +107,20 @@ class TestInputErrors:
             assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2, size
             assert name in capsys.readouterr().err, size
 
+    @pytest.mark.parametrize("name,header_size", [
+        ("pca.bin", 12), ("clusters.bin", 12), ("iou_refs.bin", 16),
+    ])
+    def test_nan_in_model_payload_exits_2_naming_it(
+        self, embedding_files, tmp_path, capsys, name, header_size
+    ):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        blob = bytearray((tmp_path / name).read_bytes())
+        blob[header_size + 4 : header_size + 8] = np.float32(np.nan).tobytes()
+        (tmp_path / name).write_bytes(bytes(blob))
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
+        assert f"{name}: non-finite value at byte {header_size + 4}" in capsys.readouterr().err
+
     def test_core_split_pool_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
         out = str(tmp_path)
@@ -129,6 +143,30 @@ class TestInputErrors:
         assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(tmp_path / "mixed.csv")]) == 2
         err = capsys.readouterr().err
         assert "mixed.csv" in err and f"record 3 (id {pool[3].id})" in err
+
+    @pytest.mark.parametrize("split", ["core", "finetune"])
+    def test_header_only_csv_exits_2_naming_it(self, embedding_files, tmp_path, capsys, split):
+        core, _ = embedding_files
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,split,iou,v0,v1,v2,v3,v4,v5,v6,v7\n")
+        out = str(tmp_path)
+        if split == "core":
+            assert main(["--out-dir", out, "fit", "--core", str(empty)]) == 2
+        else:
+            assert main(["--out-dir", out, "fit", "--core", str(core)]) == 0
+            assert main(["--out-dir", out, "rank", "--finetune", str(empty)]) == 2
+        assert "empty.csv: no records" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2_naming_file_and_line(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        pool = tmp_path / "pool.csv"
+        save_embeddings(load_embeddings(ft), pool, "csv")
+        lines = pool.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\x81", 1)
+        pool.write_bytes(b"\n".join(lines))
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(pool)]) == 2
+        assert "pool.csv: line 4: not UTF-8" in capsys.readouterr().err
 
 
 class TestSimulate:

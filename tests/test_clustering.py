@@ -142,6 +142,24 @@ class TestClassify:
         assert sorted(counts.tolist()) == sorted(model.member_count.tolist())
 
 
+class TestModelInvariants:
+    @pytest.mark.parametrize("is_error, counts, message", [
+        ([True, True], [3, 3], "at least one core"),
+        ([False, True], [3, 0], "error clusters have no members"),
+    ])
+    def test_rejects_models_the_scorer_cannot_use(self, is_error, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ClusterModel(
+                centroids=np.array([[0.0, 0.5], [2.0, 0.2]]),
+                iou_weight=1.0,
+                feature_mean=np.zeros(1),
+                feature_scale=np.ones(1),
+                member_count=np.array(counts),
+                p95_radius=np.array([1.0, 1.0]),
+                is_error=np.array(is_error),
+            )
+
+
 class TestNormalizeDistances:
     def test_linear_scaling(self):
         assert normalize_distances(np.array([0.0, 2.0, 4.0])).tolist() == [0.0, 0.5, 1.0]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from samplerank import clustering, metrics, pca
+from samplerank.data import Corpus, EmbeddingRecord
 from samplerank.pipeline import FittedModels, PipelineParams, compute_scores, fit_models, score_finetune
-from samplerank.scoring import Scores
+from samplerank.scoring import Coefficients, Scores
 from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
 
 
@@ -77,8 +78,6 @@ class TestComputeScores:
     def test_empty_pool_gives_empty_scores(self, small_data):
         core, ft, _ = small_data
         models = fit_models(core, None, PipelineParams(pca_fit="core"), seed=5)
-        from samplerank.data import Corpus
-
         empty = score_finetune(models, Corpus((), dimension=core.dimension), PipelineParams())
         assert len(empty) == 0
         assert all(getattr(empty, name).shape == (0,) for name in COLUMNS)
@@ -104,3 +103,39 @@ class TestModelPersistencePath:
         assert np.array_equal(direct.ids, loaded.ids)
         assert np.abs(direct.bps - loaded.bps).max() < 1e-3
         assert np.abs(direct.mps - loaded.mps).max() < 1e-3
+
+
+class TestErrorFeature:
+    """The err feature and its mps weight act end to end, not only in error_membership."""
+
+    @pytest.fixture(scope="class")
+    def with_copies(self, small_data):
+        core, ft, _ = small_data
+        low = [rec for rec in core if rec.measured_iou < 0.5]
+        first = max(core.ids + ft.ids) + 1
+        copies = tuple(
+            EmbeddingRecord(id=first + i, split="finetune", vector=rec.vector)
+            for i, rec in enumerate(low)
+        )
+        return Corpus(ft.records + copies), len(copies)
+
+    def test_pool_copies_of_low_iou_references_get_err(self, small_data, with_copies):
+        core, ft, _ = small_data
+        pool, n_copies = with_copies
+        assert np.count_nonzero(compute_scores(core, ft, seed=5).err) == 0
+        scores = compute_scores(core, pool, seed=5)
+        assert n_copies >= 10
+        assert np.count_nonzero(scores.err[len(ft):]) >= 0.75 * n_copies
+
+    def test_mps_follows_its_err_weight(self, small_data, with_copies):
+        core, _, _ = small_data
+        pool, _ = with_copies
+        base = compute_scores(core, pool, seed=5)
+        shifted = PipelineParams(coefficients=Coefficients(mps_a=0.25, mps_b=0.5))
+        moved = compute_scores(core, pool, shifted, seed=5)
+        # moving 0.25 from orph to err raises mps exactly where err > orph and loop < 1
+        gains = (base.err > base.orph) & (base.loop < 1.0)
+        assert np.count_nonzero(gains) >= 10
+        assert np.all(moved.mps[gains] > base.mps[gains])
+        untouched = (base.err == 0.0) & (base.orph == 0.0)
+        np.testing.assert_array_equal(moved.mps[untouched], base.mps[untouched])
