@@ -30,7 +30,8 @@ from .harness import (
 from .metrics import IouPredictor, fit_iou_predictor, iou, predict_iou_batch
 from .loop import LoopModel, fit_loop
 from .pca import PcaModel, explained_variance_ratio, fit_pca, transform_batch
-from .pipeline import PipelineParams, compute_scores, fit_models, score_finetune
+from .config import Config
+from .pipeline import compute_scores, fit_models, score_finetune
 from .scoring import (
     Coefficients,
     Scores,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """Each flag that sets a Config field has that field's name as its ``dest``."""
     parser = _Parser(prog="samplerank", description=__doc__.split("\n")[0])
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -49,36 +51,36 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--dump-config", metavar="PATH", help="write the effective configuration and continue"
     )
-    sub = parser.add_subparsers(dest="command")
-    fit = sub.add_parser("fit", help="fit and persist models from core embeddings")
-    fit.add_argument("--core", help="core embeddings file (overrides config)")
-    fit.add_argument("--finetune", help="fine-tuning embeddings file (overrides config)")
-    rank_cmd = sub.add_parser("rank", help="rank fine-tuning samples into a queue CSV")
-    rank_cmd.add_argument("--finetune", help="fine-tuning embeddings file (overrides config)")
-    rank_cmd.add_argument("--strategy", choices=["bps", "mps"], help="ranking formula")
-    sub.add_parser("simulate", help="run the synthetic budget-sweep benchmark")
-    sub.add_parser("scatter", help="export the 2-component latent scatter of synthetic data")
-    rep = sub.add_parser("report", help="summarise an existing sweep.csv")
-    rep.add_argument("--sweep", help="sweep CSV path (default: <out-dir>/sweep.csv)")
+    parser.set_defaults(run=None)
+    sub = parser.add_subparsers()
+
+    def command(name, run, help):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    finetune_help = "fine-tuning embeddings file (overrides config)"
+    fit = command("fit", cmd_fit, "fit and persist models from core embeddings")
+    fit.add_argument("--core", dest="core_embeddings", help="core embeddings file (overrides config)")
+    fit.add_argument("--finetune", dest="finetune_embeddings", help=finetune_help)
+    rank = command("rank", cmd_rank, "rank fine-tuning samples into a queue CSV")
+    rank.add_argument("--finetune", dest="finetune_embeddings", help=finetune_help)
+    rank.add_argument("--strategy", choices=["bps", "mps"], help="ranking formula")
+    command("simulate", cmd_simulate, "run the synthetic budget-sweep benchmark")
+    command("scatter", cmd_scatter, "export the 2-component latent scatter of synthetic data")
+    report = command("report", cmd_report, "summarise an existing sweep.csv")
+    report.add_argument("--sweep", help="sweep CSV path (default: <out-dir>/sweep.csv)")
     return parser
 
 
 def _effective_config(args) -> Config:
-    overrides: dict[str, object] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if getattr(args, "core", None):
-        overrides["core_embeddings"] = args.core
-    if getattr(args, "finetune", None):
-        overrides["finetune_embeddings"] = args.finetune
-    if getattr(args, "strategy", None):
-        overrides["strategy"] = args.strategy
+    names = {f.name for f in fields(Config)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
     return load_config(args.config, overrides)
 
 
-def _load_corpus(path: str, what: str):
+def _load_corpus(path: str, what: str, dimension: int | None = None):
+    """Load a non-empty corpus whose vectors, if *dimension* is given, have that length."""
     if not path:
         raise ConfigError(f"no {what} embeddings path configured")
     if not os.path.exists(path):
@@ -86,6 +88,8 @@ def _load_corpus(path: str, what: str):
     corpus = load_embeddings(path)
     if len(corpus) == 0:
         raise DataFormatError(f"{path}: no records")
+    if dimension is not None and corpus.dimension != dimension:
+        raise DataFormatError(f"{path}: dimension {corpus.dimension}, expected {dimension}")
     if what == SPLIT_FINETUNE:
         for index, rec in enumerate(corpus):
             if rec.split == SPLIT_CORE:
@@ -95,12 +99,12 @@ def _load_corpus(path: str, what: str):
     return corpus
 
 
-def cmd_fit(config: Config) -> int:
+def cmd_fit(config: Config, args) -> int:
     core = _load_corpus(config.core_embeddings, "core")
     finetune = None
     if config.finetune_embeddings:
-        finetune = _load_corpus(config.finetune_embeddings, "finetune")
-    models = pipeline.fit_models(core, finetune, config.pipeline_params(), seed=config.seed)
+        finetune = _load_corpus(config.finetune_embeddings, "finetune", core.dimension)
+    models = pipeline.fit_models(core, finetune, config, seed=config.seed)
 
     os.makedirs(config.out_dir, exist_ok=True)
     pca.save_pca(models.reduction, os.path.join(config.out_dir, _PCA_FILE))
@@ -122,28 +126,41 @@ def cmd_fit(config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_rank(config: Config) -> int:
-    models = pipeline.FittedModels(
-        reduction=pca.load_pca(os.path.join(config.out_dir, _PCA_FILE)),
-        predictor=metrics.load_predictor(os.path.join(config.out_dir, _PREDICTOR_FILE)),
-        clusters=clustering.load_clusters(os.path.join(config.out_dir, _CLUSTERS_FILE)),
+def cmd_rank(config: Config, args) -> int:
+    pca_path, clusters_path, predictor_path = (
+        os.path.join(config.out_dir, name) for name in (_PCA_FILE, _CLUSTERS_FILE, _PREDICTOR_FILE)
     )
-    finetune = _load_corpus(config.finetune_embeddings, "finetune")
-    scores = pipeline.score_finetune(models, finetune, config.pipeline_params(), seed=config.seed)
+    models = pipeline.FittedModels(
+        reduction=pca.load_pca(pca_path),
+        predictor=metrics.load_predictor(predictor_path),
+        clusters=clustering.load_clusters(clusters_path),
+    )
+    pca_rank = models.reduction.n_components
+    for path, dim in (
+        (clusters_path, models.clusters.reduced_dim),
+        (predictor_path, models.predictor.points.shape[1]),
+    ):
+        if dim != pca_rank:
+            raise DataFormatError(
+                f"model files from different fits: {pca_path} has rank {pca_rank}, "
+                f"{path} has dimension {dim}"
+            )
+    finetune = _load_corpus(config.finetune_embeddings, "finetune", models.reduction.dimension)
+    scores = pipeline.score_finetune(models, finetune, config, seed=config.seed)
     queue_path = os.path.join(config.out_dir, "queue.csv")
     scoring.write_queue_csv(scores, config.strategy, queue_path)
     print(f"ranked {len(scores)} samples -> {queue_path}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_simulate(config: Config) -> int:
+def cmd_simulate(config: Config, args) -> int:
     spec = config.synthetic_spec()
     result = harness.run_budget_sweep(
         spec,
         budgets=config.sim_budgets,
         strategies=harness.ALL_STRATEGIES,
         n_seeds=config.sim_n_seeds,
-        params=config.pipeline_params(),
+        params=config,
     )
     os.makedirs(config.out_dir, exist_ok=True)
     sweep_path = os.path.join(config.out_dir, "sweep.csv")
@@ -157,7 +174,7 @@ def cmd_simulate(config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_scatter(config: Config) -> int:
+def cmd_scatter(config: Config, args) -> int:
     from .synthetic import generate_synthetic
 
     core, finetune, _truth = generate_synthetic(config.synthetic_spec())
@@ -184,8 +201,8 @@ def cmd_scatter(config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_report(config: Config, sweep_path: str | None) -> int:
-    path = sweep_path or os.path.join(config.out_dir, "sweep.csv")
+def cmd_report(config: Config, args) -> int:
+    path = args.sweep or os.path.join(config.out_dir, "sweep.csv")
     if not os.path.exists(path):
         raise FileNotFoundError(f"sweep file not found: {path}")
     result = harness.read_sweep_csv(path)
@@ -214,31 +231,21 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"samplerank: cannot write config dump: {exc}", file=sys.stderr)
             return EXIT_DATA
-        if args.command is None:
+        if args.run is None:
             return EXIT_OK
-    elif args.command is None:
+    elif args.run is None:
         parser.print_usage(sys.stderr)
         print("samplerank: error: a subcommand is required", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        if args.command == "fit":
-            return cmd_fit(config)
-        if args.command == "rank":
-            return cmd_rank(config)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "scatter":
-            return cmd_scatter(config)
-        if args.command == "report":
-            return cmd_report(config, args.sweep)
+        return args.run(config, args)
     except ConfigError as exc:
         print(f"samplerank: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"samplerank: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

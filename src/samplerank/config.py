@@ -11,9 +11,12 @@ from dataclasses import dataclass, fields, replace
 from .metrics import DEFAULT_KNN_K
 from .loop import DEFAULT_LOOP_K, DEFAULT_LOOP_LAMBDA
 from .pca import DEFAULT_VARIANCE_THRESHOLD
-from .pipeline import PCA_FIT_CORE, PCA_FIT_POOLED, PipelineParams
 from .scoring import STRATEGY_BPS, STRATEGY_MPS, Coefficients
 from .synthetic import NovelClusterSpec, SyntheticSpec, default_spec
+
+
+PCA_FIT_POOLED = "pooled"
+PCA_FIT_CORE = "core"
 
 
 class ConfigError(ValueError):
@@ -22,6 +25,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Config:
+    """Every setting of a run; the pipeline, the harness and the CLI read this one record."""
+
     core_embeddings: str = ""
     finetune_embeddings: str = ""
     out_dir: str = "."
@@ -36,12 +41,12 @@ class Config:
     loop_k_nn: int = DEFAULT_LOOP_K
     loop_lambda: float = DEFAULT_LOOP_LAMBDA
     loop_pool_core: bool = False
-    bps_a: float = 0.75
-    bps_b: float = 0.25
-    mps_a: float = 0.50
-    mps_b: float = 0.25
-    mps_c: float = 0.20
-    mps_d: float = 0.05
+    bps_a: float = Coefficients.bps_a
+    bps_b: float = Coefficients.bps_b
+    mps_a: float = Coefficients.mps_a
+    mps_b: float = Coefficients.mps_b
+    mps_c: float = Coefficients.mps_c
+    mps_d: float = Coefficients.mps_d
     strategy: str = STRATEGY_BPS
     seed: int = 42
     sim_dims: int = 8
@@ -87,26 +92,7 @@ class Config:
             raise ConfigError("sim.budgets must be positive")
 
     def coefficients(self) -> Coefficients:
-        return Coefficients(
-            bps_a=self.bps_a, bps_b=self.bps_b,
-            mps_a=self.mps_a, mps_b=self.mps_b, mps_c=self.mps_c, mps_d=self.mps_d,
-        )
-
-    def pipeline_params(self) -> PipelineParams:
-        return PipelineParams(
-            pca_components=self.pca_components or None,
-            pca_variance_threshold=self.pca_variance_threshold,
-            pca_fit=self.pca_fit,
-            knn_k=self.knn_k,
-            cluster_k=self.cluster_k or None,
-            error_cluster_k=self.cluster_k_err or None,
-            finetune_cluster_k=self.cluster_k_ft or None,
-            iou_weight=self.cluster_iou_weight,
-            loop_k_nn=self.loop_k_nn,
-            loop_lambda=self.loop_lambda,
-            loop_pool_core=self.loop_pool_core,
-            coefficients=self.coefficients(),
-        )
+        return Coefficients(**{f.name: getattr(self, f.name) for f in fields(Coefficients)})
 
     def synthetic_spec(self) -> SyntheticSpec:
         base = default_spec(seed=self.seed, dims=self.sim_dims)
@@ -120,39 +106,18 @@ class Config:
         )
 
 
+def _key(field_name: str) -> str:
+    """Config-file key of a field: ``pca_fit`` -> ``pca.fit``, ``bps_a`` -> ``coeff.bps_a``."""
+    section, _, rest = field_name.partition("_")
+    if section in ("pca", "knn", "cluster", "loop", "sim"):
+        return f"{section}.{rest}"
+    if section in ("bps", "mps"):
+        return f"coeff.{field_name}"
+    return field_name
+
+
 # config-file key <-> Config field
-_KEYS: dict[str, str] = {
-    "core_embeddings": "core_embeddings",
-    "finetune_embeddings": "finetune_embeddings",
-    "out_dir": "out_dir",
-    "pca.components": "pca_components",
-    "pca.variance_threshold": "pca_variance_threshold",
-    "pca.fit": "pca_fit",
-    "knn.k": "knn_k",
-    "cluster.k": "cluster_k",
-    "cluster.k_err": "cluster_k_err",
-    "cluster.k_ft": "cluster_k_ft",
-    "cluster.iou_weight": "cluster_iou_weight",
-    "loop.k_nn": "loop_k_nn",
-    "loop.lambda": "loop_lambda",
-    "loop.pool_core": "loop_pool_core",
-    "coeff.bps_a": "bps_a",
-    "coeff.bps_b": "bps_b",
-    "coeff.mps_a": "mps_a",
-    "coeff.mps_b": "mps_b",
-    "coeff.mps_c": "mps_c",
-    "coeff.mps_d": "mps_d",
-    "strategy": "strategy",
-    "seed": "seed",
-    "sim.dims": "sim_dims",
-    "sim.core_n": "sim_core_n",
-    "sim.ft_n": "sim_ft_n",
-    "sim.outlier_fraction": "sim_outlier_fraction",
-    "sim.novel_sizes": "sim_novel_sizes",
-    "sim.novel_stddev": "sim_novel_stddev",
-    "sim.n_seeds": "sim_n_seeds",
-    "sim.budgets": "sim_budgets",
-}
+_KEYS: dict[str, str] = {_key(f.name): f.name for f in fields(Config)}
 _KEY_OF = {field_name: key for key, field_name in _KEYS.items()}
 
 

@@ -35,7 +35,7 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
-    """One sample: a latent vector plus optional measured IoU and metadata.
+    """One sample: a latent vector plus an optional measured IoU.
 
     Vectors are stored at 32-bit precision, matching the file format, so a
     record survives a save/load cycle bit-exactly.
@@ -45,7 +45,6 @@ class EmbeddingRecord:
     split: str
     vector: np.ndarray
     measured_iou: float | None = None
-    meta: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or not 0 <= self.id <= _MAX_ID:

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._dist import nearest
 from .data import Corpus
-from .pipeline import PipelineParams, compute_scores
+from .config import Config
+from .pipeline import compute_scores
 from .scoring import STRATEGY_BPS, STRATEGY_MPS, rank
 from .synthetic import GroundTruth, SyntheticSpec, generate_synthetic
 
@@ -123,7 +124,7 @@ def run_budget_sweep(
     budgets,
     strategies=ALL_STRATEGIES,
     n_seeds: int = 1,
-    params: PipelineParams | None = None,
+    params: Config = Config(),
 ) -> SweepResult:
     """Generate, score, select and evaluate for every (seed, strategy, budget)."""
     budgets = sorted(int(b) for b in budgets)
@@ -136,7 +137,6 @@ def run_budget_sweep(
     unknown = set(strategies) - set(ALL_STRATEGIES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    params = params or PipelineParams()
 
     rows: list[SweepRow] = []
     for step in range(n_seeds):

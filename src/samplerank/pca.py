@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, read_f32, read_model_file
+from .data import read_f32, read_model_file
 
 _PCA_MAGIC = b"PCA1"
 
@@ -66,18 +66,18 @@ class PcaModel:
 
 
 def fit_pca(
-    corpus: Corpus | np.ndarray,
+    x: np.ndarray,
     r: int | None = None,
     variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
     component_cap: int = DEFAULT_COMPONENT_CAP,
 ) -> PcaModel:
-    """Fit a reduction on row vectors (a Corpus or an (N, D) array).
+    """Fit a reduction on the rows of an (N, D) array.
 
     With ``r=None`` the rank is the smallest one whose cumulative explained
     variance reaches *variance_threshold*, capped at *component_cap*.
     Raises on r outside [1, min(D, N)] and on zero total variance.
     """
-    x = corpus.vectors() if isinstance(corpus, Corpus) else np.asarray(corpus, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected an (N, D) matrix of vectors")
     n, d = x.shape

@@ -9,38 +9,14 @@ evaluate both priority formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import clustering, loop, metrics, pca
+from .config import PCA_FIT_POOLED, Config
 from .data import Corpus
-from .scoring import Coefficients, Scores, score_all
-
-PCA_FIT_POOLED = "pooled"
-PCA_FIT_CORE = "core"
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    """Tunable knobs for every stage; None means the stage's default rule."""
-
-    pca_components: int | None = None
-    pca_variance_threshold: float = pca.DEFAULT_VARIANCE_THRESHOLD
-    pca_fit: str = PCA_FIT_POOLED
-    knn_k: int = metrics.DEFAULT_KNN_K
-    cluster_k: int | None = None
-    error_cluster_k: int | None = None
-    finetune_cluster_k: int | None = None
-    iou_weight: float = 1.0
-    loop_k_nn: int = loop.DEFAULT_LOOP_K
-    loop_lambda: float = loop.DEFAULT_LOOP_LAMBDA
-    loop_pool_core: bool = False
-    coefficients: Coefficients = field(default_factory=Coefficients)
-
-    def __post_init__(self) -> None:
-        if self.pca_fit not in (PCA_FIT_POOLED, PCA_FIT_CORE):
-            raise ValueError(f"pca_fit must be '{PCA_FIT_POOLED}' or '{PCA_FIT_CORE}'")
+from .scoring import Scores, score_all
 
 
 @dataclass(frozen=True)
@@ -54,11 +30,13 @@ def _subseeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def fit_models(core: Corpus, finetune: Corpus | None, params: PipelineParams, seed: int = 0) -> FittedModels:
+def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(), seed: int = 0) -> FittedModels:
     """Fit reduction + IoU predictor + clusters (core and error) on the reference corpus.
 
     The reduction is fitted on pooled core and fine-tuning vectors by
     default; ``params.pca_fit='core'`` restricts it to the reference corpus.
+    A count of 0 in *params* (PCA rank, cluster counts) selects the stage's
+    default rule.
     """
     core_vectors = core.vectors()
     if params.pca_fit == PCA_FIT_POOLED and finetune is not None:
@@ -67,7 +45,7 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: PipelineParams, se
         fit_matrix = core_vectors
     reduction = pca.fit_pca(
         fit_matrix,
-        r=params.pca_components,
+        r=params.pca_components or None,
         variance_threshold=params.pca_variance_threshold,
     )
 
@@ -81,22 +59,22 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: PipelineParams, se
     clusters = clustering.fit_core_clusters(
         core_reduced,
         core_ious,
-        k=params.cluster_k,
-        iou_weight=params.iou_weight,
+        k=params.cluster_k or None,
+        iou_weight=params.cluster_iou_weight,
         seed=seed_core,
     )
     clusters = clustering.fit_error_clusters(
-        clusters, core_reduced, core_ious, k_err=params.error_cluster_k, seed=seed_err
+        clusters, core_reduced, core_ious, k_err=params.cluster_k_err or None, seed=seed_err
     )
     return FittedModels(reduction=reduction, predictor=predictor, clusters=clusters)
 
 
 def score_finetune(
-    models: FittedModels, finetune: Corpus, params: PipelineParams, seed: int = 0
+    models: FittedModels, finetune: Corpus, params: Config = Config(), seed: int = 0
 ) -> Scores:
     """Compute every feature for the unlabelled pool and both priority scores."""
     if len(finetune) == 0:
-        return score_all(*[np.empty(0)] * 6, coeffs=params.coefficients)
+        return score_all(*[np.empty(0)] * 6, coeffs=params.coefficients())
     ft_reduced = pca.transform_batch(models.reduction, finetune.vectors())
     pred_ious = metrics.predict_iou_batch(models.predictor, ft_reduced)
 
@@ -105,7 +83,7 @@ def score_finetune(
     ft_points = models.clusters.augment(ft_reduced, pred_ious)
     (seed_ft,) = _subseeds(seed, 3)[2:]
     report = clustering.detect_orphans(
-        models.clusters, ft_points, k_ft=params.finetune_cluster_k, seed=seed_ft
+        models.clusters, ft_points, k_ft=params.cluster_k_ft or None, seed=seed_ft
     )
 
     # outlier probabilities over the pool itself; optionally the reference
@@ -128,14 +106,13 @@ def score_finetune(
         loop=outlier_scores,
         orph=report.orph_weight,
         err=report.err_weight,
-        coeffs=params.coefficients,
+        coeffs=params.coefficients(),
     )
 
 
 def compute_scores(
-    core: Corpus, finetune: Corpus, params: PipelineParams | None = None, seed: int = 0
+    core: Corpus, finetune: Corpus, params: Config = Config(), seed: int = 0
 ) -> Scores:
     """Full run over in-memory corpora; one master seed fixes every stage."""
-    params = params or PipelineParams()
     models = fit_models(core, finetune, params, seed)
     return score_finetune(models, finetune, params, seed)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from samplerank.cli import main
-from samplerank.data import load_embeddings, save_embeddings
+from samplerank.clustering import load_clusters
+from samplerank.data import Corpus, EmbeddingRecord, load_embeddings, save_embeddings
+from samplerank.pca import load_pca
 from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
 from dataclasses import replace
 
@@ -32,6 +34,14 @@ def _sim_config(tmp_path, name="sim.cfg", **extra):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _pool_of_dimension(dim, n=30):
+    rng = np.random.default_rng(0)
+    return Corpus(tuple(
+        EmbeddingRecord(id=i, split="finetune", vector=rng.normal(size=dim).astype(np.float32))
+        for i in range(n)
+    ))
 
 
 class TestFitAndRank:
@@ -77,18 +87,34 @@ class TestFitAndRank:
 
         assert ids("bps") == ids("mps")
 
-    def test_dimension_mismatch_exits_2(self, embedding_files, tmp_path):
+    def test_dimension_mismatch_exits_2(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
         main(["--out-dir", str(tmp_path), "fit", "--core", str(core), "--finetune", str(ft)])
-        from samplerank.data import Corpus, EmbeddingRecord
-
-        rng = np.random.default_rng(0)
-        wrong = Corpus(tuple(
-            EmbeddingRecord(id=i, split="finetune", vector=rng.normal(size=5).astype(np.float32))
-            for i in range(4)
-        ))
-        save_embeddings(wrong, tmp_path / "wrong.emb", "binary")
+        save_embeddings(_pool_of_dimension(5), tmp_path / "wrong.emb", "binary")
         assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(tmp_path / "wrong.emb")]) == 2
+        assert f"{tmp_path / 'wrong.emb'}: dimension 5, expected 8" in capsys.readouterr().err
+
+    def test_fit_pool_of_wrong_dimension_exits_2_naming_it(self, embedding_files, tmp_path, capsys):
+        core, _ = embedding_files
+        save_embeddings(_pool_of_dimension(5), tmp_path / "wrong.emb", "binary")
+        args = ["--out-dir", str(tmp_path), "fit", "--core", str(core), "--finetune", str(tmp_path / "wrong.emb")]
+        assert main(args) == 2
+        assert f"{tmp_path / 'wrong.emb'}: dimension 5, expected 8" in capsys.readouterr().err
+
+    def test_model_files_from_different_fits_exit_2_naming_them(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        cfg = tmp_path / "rank3.cfg"
+        cfg.write_text("pca.components = 3\n")
+        assert main(["--out-dir", str(tmp_path / "auto"), "fit", "--core", str(core)]) == 0
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "r3"), "fit", "--core", str(core)]) == 0
+        (tmp_path / "auto" / "pca.bin").write_bytes((tmp_path / "r3" / "pca.bin").read_bytes())
+        capsys.readouterr()
+        assert main(["--out-dir", str(tmp_path / "auto"), "rank", "--finetune", str(ft)]) == 2
+        err = capsys.readouterr().err
+        dim = load_clusters(tmp_path / "auto" / "clusters.bin").reduced_dim
+        assert load_pca(tmp_path / "auto" / "pca.bin").n_components == 3 != dim
+        assert f"pca.bin has rank 3, {tmp_path / 'auto' / 'clusters.bin'} has dimension {dim}" in err
+        assert not (tmp_path / "auto" / "queue.csv").exists()
 
 
 class TestInputErrors:
@@ -134,8 +160,6 @@ class TestInputErrors:
         assert not (tmp_path / "queue.csv").exists()
 
     def test_mixed_split_csv_pool_names_first_core_record(self, embedding_files, tmp_path, capsys):
-        from samplerank.data import Corpus, load_embeddings
-
         core, ft = embedding_files
         pool = load_embeddings(ft).records[:3] + load_embeddings(core).records[5:7]
         save_embeddings(Corpus(pool), tmp_path / "mixed.csv", "csv")
@@ -226,6 +250,14 @@ class TestUsageAndConfig:
         path.write_text("mystery = 1\n")
         assert main(["--config", str(path), "simulate"]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_given_flag_overrides_config_even_when_empty(self, embedding_files, tmp_path, capsys):
+        core, _ = embedding_files
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"core_embeddings = {core}\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "fit"]) == 0
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "fit", "--core", ""]) == 1
+        assert "no core embeddings path configured" in capsys.readouterr().err
 
     def test_dump_config_round_trip(self, tmp_path):
         dump = tmp_path / "effective.cfg"

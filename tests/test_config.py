@@ -1,8 +1,39 @@
 """Config file parsing, validation, and round-trips."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from samplerank.clustering import default_cluster_count
 from samplerank.config import Config, ConfigError, dump_config, load_config, parse_config_text
+from samplerank.pca import fit_pca
+from samplerank.pipeline import fit_models
+from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the user-facing config keys, in dump order; a field rename must not change them
+KEYS = [
+    "core_embeddings", "finetune_embeddings", "out_dir",
+    "pca.components", "pca.variance_threshold", "pca.fit",
+    "knn.k",
+    "cluster.k", "cluster.k_err", "cluster.k_ft", "cluster.iou_weight",
+    "loop.k_nn", "loop.lambda", "loop.pool_core",
+    "coeff.bps_a", "coeff.bps_b", "coeff.mps_a", "coeff.mps_b", "coeff.mps_c", "coeff.mps_d",
+    "strategy", "seed",
+    "sim.dims", "sim.core_n", "sim.ft_n", "sim.outlier_fraction", "sim.novel_sizes",
+    "sim.novel_stddev", "sim.n_seeds", "sim.budgets",
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_data():
+    spec = replace(default_spec(seed=3), core_n=120, ft_n=90, novel_clusters=(NovelClusterSpec(size=12),))
+    core, ft, _ = generate_synthetic(spec)
+    return core, ft
 
 
 class TestParsing:
@@ -89,15 +120,30 @@ class TestOverridesAndDump:
         for key in ("pca.components", "cluster.iou_weight", "coeff.mps_d", "sim.budgets"):
             assert f"{key} = " in text
 
-    def test_pipeline_params_mapping(self):
-        config = load_config(None, {"cluster_k": 4, "pca_components": 3})
-        params = config.pipeline_params()
-        assert params.cluster_k == 4 and params.pca_components == 3
-        defaults = load_config(None).pipeline_params()
-        assert defaults.cluster_k is None and defaults.pca_components is None
+    def test_zero_counts_select_the_default_rules(self, tiny_data):
+        core, ft = tiny_data
+        fitted = fit_models(core, ft, load_config(None, {"cluster_k": 4, "pca_components": 3}))
+        assert fitted.reduction.n_components == 3 and fitted.clusters.core_indices.size == 4
+        defaults = fit_models(core, ft, load_config(None))
+        auto_rank = fit_pca(np.vstack([core.vectors(), ft.vectors()])).n_components
+        assert defaults.reduction.n_components == auto_rank != 3
+        assert defaults.clusters.core_indices.size == default_cluster_count(len(core)) != 4
 
     def test_synthetic_spec_mapping(self):
         config = load_config(None, {"sim_novel_sizes": (5, 9), "sim_ft_n": 120, "sim_core_n": 100})
         spec = config.synthetic_spec()
         assert [c.size for c in spec.novel_clusters] == [5, 9]
         assert spec.ft_n == 120 and spec.core_n == 100 and spec.seed == 42
+
+
+class TestKeySurface:
+    def test_keys_are_pinned_in_order(self):
+        keys = [line.split(" = ")[0] for line in dump_config(Config()).splitlines()]
+        assert keys == KEYS
+
+    def test_readme_names_every_key(self):
+        text = README.read_text()
+        start = text.index("Config keys")
+        paragraph = text[start : text.index("\n\n", start)]
+        named = set(re.findall(r"`([^`]+)`", paragraph))
+        assert [key for key in KEYS if key not in named] == []

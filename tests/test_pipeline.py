@@ -7,8 +7,9 @@ import pytest
 
 from samplerank import clustering, metrics, pca
 from samplerank.data import Corpus, EmbeddingRecord
-from samplerank.pipeline import FittedModels, PipelineParams, compute_scores, fit_models, score_finetune
-from samplerank.scoring import Coefficients, Scores
+from samplerank.config import Config
+from samplerank.pipeline import FittedModels, compute_scores, fit_models, score_finetune
+from samplerank.scoring import Scores
 from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
 
 
@@ -61,14 +62,14 @@ class TestComputeScores:
 
     def test_core_only_pca_fit_option(self, small_data):
         core, ft, _ = small_data
-        pooled = fit_models(core, ft, PipelineParams(), seed=5)
-        core_only = fit_models(core, ft, PipelineParams(pca_fit="core"), seed=5)
+        pooled = fit_models(core, ft, Config(), seed=5)
+        core_only = fit_models(core, ft, Config(pca_fit="core"), seed=5)
         assert not np.array_equal(pooled.reduction.mean, core_only.reduction.mean)
 
     def test_pooled_loop_option_changes_scores_but_keeps_ranges(self, small_data):
         core, ft, truth = small_data
-        plain = compute_scores(core, ft, PipelineParams(), seed=5)
-        pooled = compute_scores(core, ft, PipelineParams(loop_pool_core=True), seed=5)
+        plain = compute_scores(core, ft, Config(), seed=5)
+        pooled = compute_scores(core, ft, Config(loop_pool_core=True), seed=5)
         assert np.array_equal(pooled.ids, plain.ids)
         assert np.any(plain.loop != pooled.loop)
         assert np.all((pooled.loop >= 0.0) & (pooled.loop <= 1.0))
@@ -77,8 +78,8 @@ class TestComputeScores:
 
     def test_empty_pool_gives_empty_scores(self, small_data):
         core, ft, _ = small_data
-        models = fit_models(core, None, PipelineParams(pca_fit="core"), seed=5)
-        empty = score_finetune(models, Corpus((), dimension=core.dimension), PipelineParams())
+        models = fit_models(core, None, Config(pca_fit="core"), seed=5)
+        empty = score_finetune(models, Corpus((), dimension=core.dimension), Config())
         assert len(empty) == 0
         assert all(getattr(empty, name).shape == (0,) for name in COLUMNS)
 
@@ -86,7 +87,7 @@ class TestComputeScores:
 class TestModelPersistencePath:
     def test_scores_survive_the_save_load_cycle(self, small_data, tmp_path):
         core, ft, _ = small_data
-        params = PipelineParams()
+        params = Config()
         models = fit_models(core, ft, params, seed=9)
         direct = score_finetune(models, ft, params, seed=9)
 
@@ -131,7 +132,7 @@ class TestErrorFeature:
         core, _, _ = small_data
         pool, _ = with_copies
         base = compute_scores(core, pool, seed=5)
-        shifted = PipelineParams(coefficients=Coefficients(mps_a=0.25, mps_b=0.5))
+        shifted = Config(mps_a=0.25, mps_b=0.5)
         moved = compute_scores(core, pool, shifted, seed=5)
         # moving 0.25 from orph to err raises mps exactly where err > orph and loop < 1
         gains = (base.err > base.orph) & (base.loop < 1.0)

@@ -62,7 +62,7 @@ class TestBookkeeping:
 
     def test_truth_hides_nothing_in_the_corpus(self):
         # the pipeline input carries no generator bookkeeping
-        assert all(r.meta is None for r in self.ft)
+        assert all(vars(r).keys() == {"id", "split", "vector", "measured_iou"} for r in self.ft)
 
     def test_outlier_ids_are_sentinel(self):
         assert np.all(self.truth.hidden_cluster_id[self.truth.is_outlier] == -1)
