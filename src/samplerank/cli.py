@@ -80,7 +80,7 @@ def _effective_config(args) -> Config:
 
 
 def _load_corpus(path: str, what: str, dimension: int | None = None):
-    """Load a non-empty corpus whose vectors, if *dimension* is given, have that length."""
+    """Load a non-empty corpus of *what* records, of length *dimension* if it is given."""
     if not path:
         raise ConfigError(f"no {what} embeddings path configured")
     if not os.path.exists(path):
@@ -90,20 +90,19 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
         raise DataFormatError(f"{path}: no records")
     if dimension is not None and corpus.dimension != dimension:
         raise DataFormatError(f"{path}: dimension {corpus.dimension}, expected {dimension}")
-    if what == SPLIT_FINETUNE:
-        for index, rec in enumerate(corpus):
-            if rec.split == SPLIT_CORE:
-                raise DataFormatError(
-                    f"{path}: record {index} (id {rec.id}) is a core record, expected finetune"
-                )
+    for index, rec in enumerate(corpus):
+        if rec.split != what:
+            raise DataFormatError(
+                f"{path}: record {index} (id {rec.id}) is a {rec.split} record, expected {what}"
+            )
     return corpus
 
 
 def cmd_fit(config: Config, args) -> int:
-    core = _load_corpus(config.core_embeddings, "core")
+    core = _load_corpus(config.core_embeddings, SPLIT_CORE)
     finetune = None
     if config.finetune_embeddings:
-        finetune = _load_corpus(config.finetune_embeddings, "finetune", core.dimension)
+        finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, core.dimension)
     models = pipeline.fit_models(core, finetune, config, seed=config.seed)
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -145,7 +144,7 @@ def cmd_rank(config: Config, args) -> int:
                 f"model files from different fits: {pca_path} has rank {pca_rank}, "
                 f"{path} has dimension {dim}"
             )
-    finetune = _load_corpus(config.finetune_embeddings, "finetune", models.reduction.dimension)
+    finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, models.reduction.dimension)
     scores = pipeline.score_finetune(models, finetune, config, seed=config.seed)
     queue_path = os.path.join(config.out_dir, "queue.csv")
     scoring.write_queue_csv(scores, config.strategy, queue_path)

@@ -59,6 +59,8 @@ class Config:
     sim_budgets: tuple[int, ...] = tuple(range(250, 2151, 100))
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.pca_components < 0:
             raise ConfigError("pca.components must be >= 0")
         if not 0.0 < self.pca_variance_threshold <= 1.0:

@@ -159,6 +159,14 @@ class TestInputErrors:
         assert "core.emb" in err and "record 0" in err
         assert not (tmp_path / "queue.csv").exists()
 
+    def test_finetune_split_core_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
+        _, ft = embedding_files
+        first = load_embeddings(ft).records[0].id
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(ft)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ft}: record 0 (id {first}) is a finetune record, expected core" in err
+        assert not (tmp_path / "pca.bin").exists()
+
     def test_mixed_split_csv_pool_names_first_core_record(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
         pool = load_embeddings(ft).records[:3] + load_embeddings(core).records[5:7]
@@ -258,6 +266,17 @@ class TestUsageAndConfig:
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "fit"]) == 0
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "fit", "--core", ""]) == 1
         assert "no core embeddings path configured" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_usage_error(self, embedding_files, tmp_path, capsys):
+        core, _ = embedding_files
+        assert main(["--seed", "-1", "--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = _sim_config(tmp_path, seed=-1)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dump_config_round_trip(self, tmp_path):
         dump = tmp_path / "effective.cfg"

@@ -1,5 +1,7 @@
 """Tiled exact k-NN search against a full-matrix stable-argsort reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,64 @@ def test_identical_point_is_at_distance_zero():
 def test_empty_query_gives_empty_result():
     idx, d2 = nearest(np.empty((0, 2)), np.ones((4, 2)), 3)
     assert idx.shape == d2.shape == (0, 3)
+
+
+def _broadcast(a, b):
+    """The literal broadcast formula whose float64 bits the kernel must reproduce."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 257, 512])
+def test_kernel_bits_equal_broadcast_sum(d):
+    """Same terms, same pairwise order: a changed numpy summation order fails here first."""
+    rng = np.random.default_rng(d)
+    scale = np.logspace(-3, 3, d)
+    a, b = rng.normal(size=(7, d)) * scale, rng.normal(size=(9, d)) * scale
+    f32a, f32b = (x.astype(np.float32).astype(np.float64) for x in (a, b))
+    b[4] = a[2]  # a duplicated row must give exactly 0.0
+    for x, y in ((a, b), (f32a, f32b)):
+        assert sq_dist_matrix(x, y).tobytes() == _broadcast(x, y).tobytes()
+    assert sq_dist_matrix(a, b)[2, 4] == 0.0
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((0, 5), (4, 5)), ((3, 5), (0, 5)), ((3, 0), (4, 0))])
+def test_kernel_empty_inputs(shape_a, shape_b):
+    a, b = np.ones(shape_a), np.zeros(shape_b)
+    got = sq_dist_matrix(a, b)
+    assert got.shape == (shape_a[0], shape_b[0])
+    assert got.tobytes() == _broadcast(a, b).tobytes()
+
+
+def test_loop_shaped_search_memory_is_bounded():
+    """LoOP's shape, 8,800 x 8 points and k=20: the peak is set by the tile.
+
+    A (tile, n, d) difference block at the former 8,000,000-float tile budget
+    alone took ~61 MiB. An eighth of the query rows keeps the test fast and
+    the tiles the same.
+    """
+    x = np.random.default_rng(7).normal(size=(8800, 8))
+    tracemalloc.start()
+    try:
+        nearest(x[:1100], x, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+def test_one_tile_mixing_tied_and_untied_rows(k):
+    """Grid rows tie across the k-th place; jittered rows have distinct distances."""
+    rng = np.random.default_rng(k)
+    grid = rng.integers(0, 3, size=(60, 2)).astype(float)
+    a = np.vstack([grid[:20], rng.normal(size=(20, 2)) * 3])
+    b = np.vstack([grid, rng.normal(size=(30, 2)) * 3])
+    full = _broadcast(a, b)
+    kth = np.sort(full, axis=1)[:, k - 1 : k]
+    straddles = np.count_nonzero(full <= kth, axis=1) > k
+    assert straddles.any() and not straddles.all()
+    assert len(a) <= _dist._CHUNK_BUDGET // b.size  # one tile
+    idx, d2 = nearest(a, b, k)
+    ref = np.argsort(full, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(idx, ref)
+    assert d2.tobytes() == np.take_along_axis(full, ref, axis=1).tobytes()
