@@ -5,8 +5,11 @@ Embeddings travel in two interchangeable encodings:
 * binary — magic ``EMB1``, u32-LE record count, u32-LE dimension, one u8
   split flag for the whole file (0=core, 1=finetune), then per record:
   u64-LE id, f32 measured IoU (NaN when absent), and the f32 vector.
-* CSV — header ``id,split,iou,v0,...,v{D-1}``; an empty iou field means
-  absent; floats written with 9 significant digits.
+* CSV — header ``id,split,iou,v0,...,v{D-1}``, then one record per line;
+  an empty iou field means absent; floats written with 9 significant
+  digits. Fields are never quoted (no field can hold a comma or a quote),
+  so the reader takes a line's commas as its field separators and rejects
+  any quote character. numpy parses all vector columns in one pass.
 
 Masks are plain or raw netpbm files (PGM P2/P5, PBM P1/P4).
 """
@@ -14,7 +17,8 @@ Masks are plain or raw netpbm files (PGM P2/P5, PBM P1/P4).
 from __future__ import annotations
 
 import csv
-import io
+import math
+import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -54,13 +58,13 @@ class EmbeddingRecord:
         vec = np.asarray(self.vector, dtype=np.float32)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("vector must be a non-empty 1-D array")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ValueError("vector contains non-finite values")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         if self.measured_iou is not None:
             iou = float(np.float32(self.measured_iou))
-            if not np.isfinite(iou) or not 0.0 <= iou <= 1.0:
+            if not math.isfinite(iou) or not 0.0 <= iou <= 1.0:
                 raise ValueError(f"measured_iou must lie in [0,1], got {self.measured_iou!r}")
             object.__setattr__(self, "measured_iou", iou)
         if self.split == SPLIT_CORE and self.measured_iou is None:
@@ -227,28 +231,15 @@ def _load_binary(path) -> Corpus:
         raise DataFormatError(
             f"{path}: size mismatch, expected {expected} bytes for {count} records, got {len(blob)}"
         )
-    records = []
-    offset = 13
-    for index in range(count):
-        (rec_id,) = struct.unpack_from("<Q", blob, offset)
-        iou = np.frombuffer(blob, dtype="<f4", count=1, offset=offset + 8)[0]
-        vector = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset + 12)
-        offset += record_size
-        try:
-            records.append(
-                EmbeddingRecord(
-                    id=int(rec_id),
-                    split=split,
-                    vector=vector,
-                    measured_iou=None if np.isnan(iou) else float(iou),
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: record {index}: {exc}") from exc
-    try:
-        return Corpus(tuple(records), dimension=dim)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    if count == 0:  # no records may come with any dimension, even one no dtype can hold
+        return Corpus((), dimension=dim)
+    table = np.frombuffer(blob, dtype=[("id", "<u8"), ("iou", "<f4"), ("vector", "<f4", (dim,))], offset=13)
+    ids, ious, vectors = table["id"].tolist(), table["iou"].tolist(), table["vector"]
+
+    def record(i):
+        return EmbeddingRecord(ids[i], split, vectors[i], None if math.isnan(ious[i]) else ious[i])
+
+    return _corpus(path, dim, count, record)
 
 
 def _save_csv(corpus: Corpus, path) -> None:
@@ -268,27 +259,48 @@ def _load_csv(path) -> Corpus:
     except UnicodeDecodeError as exc:
         line = blob.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if '"' in text:
+        line = text.count("\n", 0, text.index('"')) + 1
+        raise DataFormatError(f"{path}: line {line}: quoted field; records are unquoted, one per line")
+    lines = text.splitlines()
+    if not lines:
         raise DataFormatError(f"{path}: empty file")
-    header = rows[0]
+    header = lines[0].split(",")
     if header[:3] != ["id", "split", "iou"] or len(header) < 4:
         raise DataFormatError(f"{path}: malformed header {header!r}")
     dim = len(header) - 3
     if header[3:] != [f"v{i}" for i in range(dim)]:
         raise DataFormatError(f"{path}: malformed vector columns in header")
+    rows = lines[1:]
+    for index, line in enumerate(rows):
+        if line.count(",") != 2 + dim:
+            raise DataFormatError(f"{path}: record {index}: expected {3 + dim} fields, got {line.count(',') + 1}")
+    try:  # every row holds 3 + dim fields, so numpy's row i is record i; numpy warns on no rows
+        vectors = rows and np.loadtxt(
+            rows, np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2
+        )
+    except ValueError as exc:
+        bad = re.search(r"at row (\d+), column (\d+)", str(exc))
+        if bad is None:
+            raise DataFormatError(f"{path}: {exc}") from None
+        index, column = int(bad[1]), int(bad[2]) - 1
+        value = rows[index].split(",")[column]
+        raise DataFormatError(f"{path}: record {index}: v{column - 3} is not a number: {value!r}") from None
+    head = [row.split(",", 3)[:3] for row in rows]  # id, split, iou
+
+    def record(i):
+        rec_id, split, iou = head[i]
+        return EmbeddingRecord(int(rec_id), split, vectors[i], None if iou == "" else float(iou))
+
+    return _corpus(path, dim, len(rows), record)
+
+
+def _corpus(path, dim: int, count: int, record) -> Corpus:
+    """Corpus of ``record(i)`` for i < *count*; a ValueError names the file and the record."""
     records = []
-    for index, row in enumerate(rows[1:]):
-        if len(row) != 3 + dim:
-            raise DataFormatError(f"{path}: record {index}: expected {3 + dim} fields, got {len(row)}")
+    for index in range(count):
         try:
-            iou = None if row[2] == "" else float(row[2])
-            vector = np.array([float(x) for x in row[3:]], dtype=np.float32)
-            records.append(EmbeddingRecord(id=int(row[0]), split=row[1], vector=vector, measured_iou=iou))
+            records.append(record(index))
         except ValueError as exc:
             raise DataFormatError(f"{path}: record {index}: {exc}") from exc
     try:

@@ -1,8 +1,11 @@
 """Corpus construction, file round-trips, and mask parsing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from samplerank.cli import main
 from samplerank.data import (
     BinaryMask,
     Corpus,
@@ -156,6 +159,58 @@ class TestEmbeddingErrors:
         path.write_text("id,split,iou,v0\n0,core,,1.0\n")
         with pytest.raises(DataFormatError, match="record 0"):
             load_embeddings(path)
+
+
+class TestCsvLoader:
+    """CSV is one unquoted record per line; numpy parses the vector columns."""
+
+    @staticmethod
+    def _csv(tmp_path, split="finetune"):
+        """Five 6-D records; returns the path and the file's lines."""
+        path = tmp_path / "c.csv"
+        save_embeddings(_random_corpus(np.random.default_rng(9), n=5, dim=6, split=split), path, "csv")
+        return path, path.read_text().splitlines()
+
+    def test_wide_corpus_loads_bit_equal_from_csv_and_binary(self, tmp_path):
+        corpus = _random_corpus(np.random.default_rng(10), n=30, dim=512)
+        save_embeddings(corpus, tmp_path / "c.emb", "binary")
+        save_embeddings(corpus, tmp_path / "c.csv", "csv")
+        from_csv, from_binary = load_embeddings(tmp_path / "c.csv"), load_embeddings(tmp_path / "c.emb")
+        assert from_csv == from_binary == corpus
+        assert from_csv.vectors().tobytes() == from_binary.vectors().tobytes()
+        assert from_csv.measured_ious().tobytes() == from_binary.measured_ious().tobytes()
+
+    def test_bad_float_names_file_record_and_column(self, tmp_path):
+        path, lines = self._csv(tmp_path)
+        fields = lines[3].split(",")
+        fields[3 + 4] = "1.5x"  # record 2, column v4
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: record 2: v4 is not a number: '1.5x'"
+
+    def test_short_row_names_its_record(self, tmp_path):
+        path, lines = self._csv(tmp_path)
+        lines[4] = lines[4].rsplit(",", 1)[0]  # record 3 loses its last field
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="c.csv: record 3: expected 9 fields, got 8"):
+            load_embeddings(path)
+
+    def test_header_only_csv_loads_empty_without_warning(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("id,split,iou,v0,v1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corpus = load_embeddings(path)
+        assert len(corpus) == 0 and corpus.dimension == 2
+
+    def test_quoted_field_exits_2_naming_the_file(self, tmp_path, capsys):
+        path, lines = self._csv(tmp_path, split="core")
+        lines[2] = lines[2].replace(",core,", ',"core",', 1)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(path)]) == 2
+        assert f"{path}: line 3: quoted field" in capsys.readouterr().err
 
 
 class TestMasks:

@@ -184,3 +184,45 @@ class TestPersistence:
                 eigenvalues=np.array([1.0, 2.0]),
                 total_variance=3.0,
             )
+
+
+class TestGramRoute:
+    """N >= D fits through eigh of the scatter matrix; N < D keeps the economy SVD."""
+
+    @staticmethod
+    def _svd(x):
+        _, singulars, vh = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        return singulars**2 / (len(x) - 1), vh
+
+    def test_ill_conditioned_subspace_matches_svd(self):
+        """Singular values 1 .. 1e-6: the scatter matrix squares that range.
+
+        Tolerance, per rank r: the first-order perturbation bound
+        eps * l1 / (l_r - l_(r+1)) for the fitted projector, and
+        eps * l1 / l_r for the relative error of each kept eigenvalue.
+        """
+        rng = np.random.default_rng(21)
+        n, d = 600, 48
+        left, _ = np.linalg.qr(rng.normal(size=(n, d)))
+        right, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        x = (left * np.logspace(0, -6, d)) @ right.T + 3.0
+        lam, vh = self._svd(x)
+        eps = np.finfo(np.float64).eps
+        for r in (None, 12, 32):
+            model = fit_pca(x, r=r)
+            rank = model.n_components
+            if r is None:  # the variance rule picks the same rank from either spectrum
+                assert rank == np.searchsorted(np.cumsum(lam) / lam.sum(), 0.95 - 1e-12) + 1
+            ref = vh[:rank].T @ vh[:rank]
+            got = model.components.T @ model.components
+            assert np.max(np.abs(got - ref)) < eps * lam[0] / (lam[rank - 1] - lam[rank])
+            np.testing.assert_allclose(model.eigenvalues, lam[:rank], rtol=eps * lam[0] / lam[rank - 1])
+
+    def test_wide_input_matches_svd_exactly(self):
+        x = np.random.default_rng(22).normal(size=(20, 50))
+        lam, vh = self._svd(x)
+        model = fit_pca(x, r=7)
+        signs = np.sign(vh[np.arange(7), np.argmax(np.abs(vh[:7]), axis=1)])
+        np.testing.assert_array_equal(model.components, vh[:7] * signs[:, None])
+        np.testing.assert_array_equal(model.eigenvalues, lam[:7])
+        assert model.total_variance == lam.sum()
