@@ -17,7 +17,6 @@ from .data import (
     DataFormatError,
     EmbeddingRecord,
     load_embeddings,
-    load_mask,
     save_embeddings,
 )
 from .harness import (

@@ -205,6 +205,8 @@ def cmd_report(config: Config, args) -> int:
     if not os.path.exists(path):
         raise FileNotFoundError(f"sweep file not found: {path}")
     result = harness.read_sweep_csv(path)
+    if not result.rows:
+        raise DataFormatError(f"{path}: no records")
     harness.report(
         result,
         summary_path=os.path.join(config.out_dir, "summary.txt"),

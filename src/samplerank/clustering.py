@@ -48,14 +48,14 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     n = points.shape[0]
     centres = np.empty((k, points.shape[1]))
     centres[0] = points[rng.integers(n)]
-    d2 = ((points - centres[0]) ** 2).sum(axis=1)
+    d2 = sq_dist_matrix(points, centres[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             centres[j] = points[rng.integers(n)]
             continue
         centres[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centres[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dist_matrix(points, centres[j : j + 1])[:, 0])
     return centres
 
 

@@ -181,9 +181,9 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     values: dict[str, object] = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values.update(parse_config_text(text, source=str(path)))
     if overrides:

@@ -1,4 +1,4 @@
-"""Domain types and file IO for embedding corpora and binary masks.
+"""Domain types and file IO for embedding corpora, plus the in-memory binary mask.
 
 Embeddings travel in two interchangeable encodings:
 
@@ -11,7 +11,7 @@ Embeddings travel in two interchangeable encodings:
   so the reader takes a line's commas as its field separators and rejects
   any quote character. numpy parses all vector columns in one pass.
 
-Masks are plain or raw netpbm files (PGM P2/P5, PBM P1/P4).
+Masks are never read from files: ``BinaryMask`` lives in memory, for ``metrics.iou``.
 """
 
 from __future__ import annotations
@@ -327,98 +327,3 @@ class BinaryMask:
             )
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
-
-
-def load_mask(path) -> BinaryMask:
-    """Read a PGM/PBM file; PGM pixels above 127 map to True, PBM bit 1 maps to True."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 2:
-        raise DataFormatError(f"{path}: not a netpbm file")
-    magic = blob[:2]
-    if magic in (b"P1", b"P2"):
-        return _parse_plain(path, blob, magic)
-    if magic in (b"P4", b"P5"):
-        return _parse_raw(path, blob, magic)
-    raise DataFormatError(f"{path}: unsupported netpbm magic {magic!r}")
-
-
-def _tokenize_header(blob: bytes, n_tokens: int) -> tuple[list[int], int]:
-    """Read *n_tokens* whitespace-separated integers after the magic, skipping # comments.
-
-    Returns the values and the offset just past the single whitespace byte
-    that terminates the last token.
-    """
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < n_tokens:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos] == ord("#"):
-            end = blob.find(b"\n", pos)
-            pos = len(blob) if end == -1 else end + 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataFormatError("truncated header")
-        try:
-            tokens.append(int(blob[start:pos]))
-        except ValueError:
-            raise DataFormatError(f"non-numeric header token {blob[start:pos]!r}") from None
-    return tokens, pos + 1
-
-
-def _parse_plain(path, blob: bytes, magic: bytes) -> BinaryMask:
-    is_pbm = magic == b"P1"
-    try:
-        header, offset = _tokenize_header(blob, 2 if is_pbm else 3)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    width, height = header[0], header[1]
-    if width < 1 or height < 1:
-        raise DataFormatError(f"{path}: non-positive dimensions {width}x{height}")
-    if not is_pbm and not 0 < header[2] < 65536:
-        raise DataFormatError(f"{path}: invalid maxval {header[2]}")
-    body = blob[offset - 1 :]
-    # P1 allows digits without separating whitespace
-    if is_pbm:
-        values = [int(c) for c in body.decode("ascii", "replace") if c in "01"]
-    else:
-        try:
-            values = [int(tok) for tok in body.split()]
-        except ValueError:
-            raise DataFormatError(f"{path}: non-numeric pixel data") from None
-    if len(values) < width * height:
-        raise DataFormatError(f"{path}: truncated pixel data ({len(values)} of {width * height})")
-    pixels = np.array(values[: width * height]).reshape(height, width)
-    bits = pixels == 1 if is_pbm else pixels > 127
-    return BinaryMask(width=width, height=height, bits=bits)
-
-
-def _parse_raw(path, blob: bytes, magic: bytes) -> BinaryMask:
-    is_pbm = magic == b"P4"
-    try:
-        header, offset = _tokenize_header(blob, 2 if is_pbm else 3)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    width, height = header[0], header[1]
-    if width < 1 or height < 1:
-        raise DataFormatError(f"{path}: non-positive dimensions {width}x{height}")
-    body = blob[offset:]
-    if is_pbm:
-        row_bytes = (width + 7) // 8
-        if len(body) < row_bytes * height:
-            raise DataFormatError(f"{path}: truncated raster")
-        rows = np.frombuffer(body[: row_bytes * height], dtype=np.uint8).reshape(height, row_bytes)
-        bits = np.unpackbits(rows, axis=1)[:, :width] == 1
-    else:
-        maxval = header[2]
-        if not 0 < maxval < 256:
-            raise DataFormatError(f"{path}: unsupported maxval {maxval} (only single-byte PGM)")
-        if len(body) < width * height:
-            raise DataFormatError(f"{path}: truncated raster")
-        pixels = np.frombuffer(body[: width * height], dtype=np.uint8).reshape(height, width)
-        bits = pixels > 127
-    return BinaryMask(width=width, height=height, bits=bits)

@@ -176,15 +176,23 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
+    """Rows written by ``write_sweep_csv``; a malformed row raises ValueError naming the file and record."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["strategy", "budget", "seed", "quality"]:
-            raise ValueError(f"{path}: malformed sweep header {header!r}")
-        rows = [
-            SweepRow(strategy=r[0], budget=int(r[1]), seed=int(r[2]), quality=float(r[3]))
-            for r in reader
-        ]
+        try:
+            header, *table = list(reader) or [None]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header != ["strategy", "budget", "seed", "quality"]:
+        raise ValueError(f"{path}: malformed sweep header {header!r}")
+    rows = []
+    for index, r in enumerate(table):
+        try:
+            if len(r) != 4:
+                raise ValueError(f"expected 4 fields, got {len(r)}")
+            rows.append(SweepRow(strategy=r[0], budget=int(r[1]), seed=int(r[2]), quality=float(r[3])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {index}: {exc}") from None
     return SweepResult(rows=tuple(rows))
 
 
@@ -205,9 +213,10 @@ def summarize(result: SweepResult) -> str:
     if not result.rows:
         raise ValueError("empty sweep result")
     strategies = result.strategies()
+    paired = STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies
     lines = []
     header = ["budget"] + [f"{s}(mean+-std)" for s in strategies]
-    if STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies:
+    if paired:
         header.append("bps-random")
     lines.append("  ".join(f"{h:>24}" for h in header))
     last_winning = None
@@ -215,19 +224,17 @@ def summarize(result: SweepResult) -> str:
         cells = [f"{budget:>24}"]
         for s in strategies:
             cells.append(f"{result.mean(s, budget):>16.4f} +- {result.stddev(s, budget):.4f}")
-        if STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies:
+        if paired:
             diff = result.mean(STRATEGY_PRIORITY_BPS, budget) - result.mean(STRATEGY_RANDOM, budget)
             cells.append(f"{diff:>+24.4f}")
             if diff >= 0:
                 last_winning = budget
         lines.append("  ".join(cells))
-    if STRATEGY_PRIORITY_BPS in result.strategies() and STRATEGY_RANDOM in result.strategies():
+    if paired:
         if last_winning is None:
             lines.append("priority_bps never reaches the random baseline")
         else:
-            lines.append(
-                f"largest budget with priority_bps >= random: {last_winning}"
-            )
+            lines.append(f"largest budget with priority_bps >= random: {last_winning}")
     return "\n".join(lines) + "\n"
 
 
@@ -238,21 +245,20 @@ def report(result: SweepResult, summary_path, aggregates_path=None) -> None:
         fh.write(text)
     if aggregates_path is not None:
         strategies = result.strategies()
+        paired = STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies
         with open(aggregates_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             columns = ["budget"]
             for s in strategies:
                 columns += [f"mean_{s}", f"std_{s}"]
-            if STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies:
+            if paired:
                 columns.append("diff_bps_minus_random")
             writer.writerow(columns)
             for budget in result.budgets():
                 row: list = [budget]
                 for s in strategies:
                     row += [f"{result.mean(s, budget):.9g}", f"{result.stddev(s, budget):.9g}"]
-                if STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies:
-                    diff = result.mean(STRATEGY_PRIORITY_BPS, budget) - result.mean(
-                        STRATEGY_RANDOM, budget
-                    )
+                if paired:
+                    diff = result.mean(STRATEGY_PRIORITY_BPS, budget) - result.mean(STRATEGY_RANDOM, budget)
                     row.append(f"{diff:.9g}")
                 writer.writerow(row)

@@ -38,11 +38,10 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     A count of 0 in *params* (PCA rank, cluster counts) selects the stage's
     default rule.
     """
-    core_vectors = core.vectors()
+    fit_matrix = core.vectors()
     if params.pca_fit == PCA_FIT_POOLED and finetune is not None:
-        fit_matrix = np.vstack([core_vectors, finetune.vectors()])
-    else:
-        fit_matrix = core_vectors
+        fit_matrix = np.vstack([fit_matrix, finetune.vectors()])
+    core_vectors = fit_matrix[: len(core)]  # a view: one float64 copy of the core rows
     reduction = pca.fit_pca(
         fit_matrix,
         r=params.pca_components or None,

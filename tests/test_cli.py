@@ -242,6 +242,27 @@ class TestScatterAndReport:
     def test_report_missing_sweep_exits_2(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "report"]) == 2
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("random,10", "record 1: expected 4 fields, got 2"),
+            ("random,ten,1,0.5", "record 1: invalid literal for int() with base 10: 'ten'"),
+            ("random,10,1," + "9" * 140_000, "line 3: field larger than field limit"),
+        ],
+        ids=["short_row", "bad_number", "huge_field"],
+    )
+    def test_malformed_sweep_row_exits_2_naming_file_and_record(self, tmp_path, capsys, row, message):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(f"strategy,budget,seed,quality\nrandom,10,1,0.5\n{row}\n")
+        assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
+        assert f"{sweep}: {message}" in capsys.readouterr().err
+
+    def test_header_only_sweep_exits_2_naming_it(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("strategy,budget,seed,quality\n")
+        assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
+        assert f"{sweep}: no records" in capsys.readouterr().err
+
 
 class TestUsageAndConfig:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -258,6 +279,12 @@ class TestUsageAndConfig:
         path.write_text("mystery = 1\n")
         assert main(["--config", str(path), "simulate"]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["--config", str(path), "simulate"]) == 1
+        assert f"cannot read config file {path}: " in capsys.readouterr().err
 
     def test_given_flag_overrides_config_even_when_empty(self, embedding_files, tmp_path, capsys):
         core, _ = embedding_files

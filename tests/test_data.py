@@ -1,4 +1,4 @@
-"""Corpus construction, file round-trips, and mask parsing."""
+"""Corpus construction, file round-trips, and mask validation."""
 
 import warnings
 
@@ -12,7 +12,6 @@ from samplerank.data import (
     DataFormatError,
     EmbeddingRecord,
     load_embeddings,
-    load_mask,
     save_embeddings,
 )
 
@@ -214,55 +213,6 @@ class TestCsvLoader:
 
 
 class TestMasks:
-    def test_plain_pgm_threshold(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_text("P2\n2 2\n255\n255 0\n0 255\n")
-        mask = load_mask(path)
-        assert mask.bits.tolist() == [[True, False], [False, True]]
-
-    def test_all_zero_pgm(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_text("P2\n4 4\n255\n" + " ".join(["0"] * 16) + "\n")
-        assert not load_mask(path).bits.any()
-
-    def test_threshold_is_strictly_above_127(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_text("P2\n2 1\n255\n127 128\n")
-        assert load_mask(path).bits.tolist() == [[False, True]]
-
-    def test_raw_pgm(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5\n2 2\n255\n" + bytes([255, 0, 0, 200]))
-        assert load_mask(path).bits.tolist() == [[True, False], [False, True]]
-
-    def test_plain_pbm(self, tmp_path):
-        path = tmp_path / "m.pbm"
-        path.write_text("P1\n3 2\n101\n010\n")
-        assert load_mask(path).bits.tolist() == [[True, False, True], [False, True, False]]
-
-    def test_raw_pbm_row_padding(self, tmp_path):
-        # 3-wide rows still occupy one padded byte each
-        path = tmp_path / "m.pbm"
-        path.write_bytes(b"P4\n3 2\n" + bytes([0b10100000, 0b01000000]))
-        assert load_mask(path).bits.tolist() == [[True, False, True], [False, True, False]]
-
-    def test_truncated_raster(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes([1, 2, 3]))
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_mask(path)
-
-    def test_truncated_plain_pixels(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_text("P2\n4 4\n255\n1 2 3\n")
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_mask(path)
-
-    def test_comment_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_text("P2\n# a comment\n2 1\n255\n255 0\n")
-        assert load_mask(path).bits.tolist() == [[True, False]]
-
     def test_mask_shape_validation(self):
         with pytest.raises(ValueError):
             BinaryMask(width=2, height=2, bits=np.zeros((3, 2), dtype=bool))

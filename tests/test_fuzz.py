@@ -4,10 +4,6 @@
 optionally a CSV pool. Each case corrupts one of them and requires exit 0,
 or exit 2 with the corrupted file's name on stderr. Any other exception
 escapes ``main`` and fails the test.
-
-The netpbm mask reader gets the same treatment directly: every corrupted
-P1/P2/P4/P5 file must load as a ``BinaryMask`` or raise a
-``DataFormatError`` that names the file.
 """
 
 import shutil
@@ -18,7 +14,7 @@ import numpy as np
 import pytest
 
 from samplerank.cli import main
-from samplerank.data import BinaryMask, DataFormatError, load_mask, save_embeddings
+from samplerank.data import save_embeddings
 from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
 
 # file name -> (header size, struct format and offset of its u32 fields)
@@ -106,84 +102,3 @@ def test_seeded_byte_flips(rank, name):
         blob[pos] ^= int(rng.integers(1, 256))
         rank.run(name, bytes(blob), f"byte {pos} -> {blob[pos]:#04x}")
     rank.check()
-
-
-def _mask(magic, width="5", height="3", maxval="255"):
-    """A 5x3 mask in one netpbm flavour, header fields given as text."""
-    if magic == "P1":
-        header, body = f"P1\n# plain bitmap\n{width} {height}\n", b"10110\n01001\n11100\n"
-    elif magic == "P2":
-        header = f"P2\n{width} {height}\n{maxval}\n"
-        body = b"0 255 128 127 9\n200 1 0 255 30\n64 128 192 255 0\n"
-    elif magic == "P4":
-        header, body = f"P4\n# raw bitmap\n{width} {height}\n", bytes([0b10110000, 0b01001000, 0b11100000])
-    else:
-        header, body = f"P5\n{width} {height}\n{maxval}\n", bytes(range(0, 255, 17))
-    return header.encode() + body
-
-
-MASKS = ("P1", "P2", "P4", "P5")
-MASK_FLIPS = 200
-HEADER_VALUES = ("0", "-1", str(2**32), str(10**12))
-
-
-class _MaskLoad:
-    def __init__(self, path):
-        self.path = path
-        self.failures = []
-
-    def run(self, blob, case):
-        self.path.write_bytes(blob)
-        try:
-            mask = load_mask(self.path)
-        except DataFormatError as exc:
-            if str(self.path) not in str(exc):
-                self.failures.append(f"{case}: unnamed DataFormatError: {exc}")
-        except Exception as exc:  # anything else is a reader fault
-            self.failures.append(f"{case}: {type(exc).__name__}: {exc}")
-        else:
-            if not isinstance(mask, BinaryMask):
-                self.failures.append(f"{case}: returned {type(mask).__name__}")
-
-    def check(self):
-        assert not self.failures, "\n".join(self.failures)
-
-
-@pytest.fixture
-def mask_load(tmp_path):
-    return _MaskLoad(tmp_path / "mask.pnm")
-
-
-@pytest.mark.parametrize("magic", MASKS)
-def test_mask_samples_load(magic, mask_load):
-    mask_load.run(_mask(magic), "pristine")
-    mask_load.check()
-    assert load_mask(mask_load.path).bits.shape == (3, 5)
-
-
-@pytest.mark.parametrize("magic", MASKS)
-def test_mask_cut_at_every_offset(magic, mask_load):
-    blob = _mask(magic)
-    for size in range(len(blob)):
-        mask_load.run(blob[:size], f"{magic} cut at {size}")
-    mask_load.check()
-
-
-@pytest.mark.parametrize("magic", MASKS)
-def test_mask_seeded_byte_flips(magic, mask_load):
-    rng = np.random.default_rng([0xF122, *magic.encode()])
-    for _ in range(MASK_FLIPS):
-        blob = bytearray(_mask(magic))
-        pos = int(rng.integers(len(blob)))
-        blob[pos] ^= int(rng.integers(1, 256))
-        mask_load.run(bytes(blob), f"{magic} byte {pos} -> {blob[pos]:#04x}")
-    mask_load.check()
-
-
-@pytest.mark.parametrize("magic", MASKS)
-def test_mask_extreme_header_values(magic, mask_load):
-    fields = ("width", "height") + (("maxval",) if magic in ("P2", "P5") else ())
-    for field in fields:
-        for value in HEADER_VALUES:
-            mask_load.run(_mask(magic, **{field: value}), f"{magic} {field} = {value}")
-    mask_load.check()

@@ -1,5 +1,6 @@
 """End-to-end feature computation over in-memory corpora."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -140,3 +141,25 @@ class TestErrorFeature:
         assert np.all(moved.mps[gains] > base.mps[gains])
         untouched = (base.err == 0.0) & (base.orph == 0.0)
         np.testing.assert_array_equal(moved.mps[untouched], base.mps[untouched])
+
+
+def test_fit_holds_one_float64_copy_of_the_core_rows():
+    """A wide pooled fit: the core rows live once, inside the pooled matrix PCA centres.
+
+    A second float64 copy of the core rows next to the pooled matrix and its
+    centred copy puts the peak near 3x the pooled matrix's bytes.
+    """
+    rng = np.random.default_rng(0)
+    n_core, n_pool, d = 3000, 600, 256
+    lift = rng.normal(size=(8, d))
+    x = rng.normal(size=(n_core + n_pool, 8)) @ lift + 0.01 * rng.normal(size=(n_core + n_pool, d))
+    x = x.astype(np.float32)
+    core = Corpus(tuple(EmbeddingRecord(i, "core", x[i], float(rng.uniform())) for i in range(n_core)))
+    pool = Corpus(tuple(EmbeddingRecord(i, "finetune", x[i]) for i in range(n_core, n_core + n_pool)))
+    tracemalloc.start()
+    try:
+        fit_models(core, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (n_core + n_pool) * d * 8
