@@ -32,7 +32,6 @@ from .pca import PcaModel, explained_variance_ratio, fit_pca, transform_batch
 from .config import Config
 from .pipeline import compute_scores, fit_models, score_finetune
 from .scoring import (
-    Coefficients,
     Scores,
     bps,
     mps,

@@ -23,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import clustering, harness, metrics, pca, pipeline, scoring
-from .config import Config, ConfigError, dump_config, load_config
+from .config import STRATEGY_BPS, STRATEGY_MPS, Config, ConfigError, dump_config, load_config
 from .data import SPLIT_CORE, SPLIT_FINETUNE, DataFormatError, load_embeddings
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--finetune", dest="finetune_embeddings", help=finetune_help)
     rank = command("rank", cmd_rank, "rank fine-tuning samples into a queue CSV")
     rank.add_argument("--finetune", dest="finetune_embeddings", help=finetune_help)
-    rank.add_argument("--strategy", choices=["bps", "mps"], help="ranking formula")
+    rank.add_argument("--strategy", choices=[STRATEGY_BPS, STRATEGY_MPS], help="ranking formula")
     command("simulate", cmd_simulate, "run the synthetic budget-sweep benchmark")
     command("scatter", cmd_scatter, "export the 2-component latent scatter of synthetic data")
     report = command("report", cmd_report, "summarise an existing sweep.csv")
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"samplerank: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"samplerank: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,22 +1,31 @@
 """Plain-text ``key = value`` configuration with strict key checking.
 
-Every knob mirrors a module-level default, so an empty config runs the
-reference benchmark unchanged. Command-line flags override file values.
+``Config`` is the one home of every setting, its field defaults run the
+reference benchmark unchanged, and it checks each value once, when built.
+Command-line flags override file values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .metrics import DEFAULT_KNN_K
 from .loop import DEFAULT_LOOP_K, DEFAULT_LOOP_LAMBDA
 from .pca import DEFAULT_VARIANCE_THRESHOLD
-from .scoring import STRATEGY_BPS, STRATEGY_MPS, Coefficients
 from .synthetic import NovelClusterSpec, SyntheticSpec, default_spec
 
 
 PCA_FIT_POOLED = "pooled"
 PCA_FIT_CORE = "core"
+STRATEGY_BPS = "bps"
+STRATEGY_MPS = "mps"
+
+# range rules; every float setting must also be finite
+_AT_LEAST_0 = ("seed", "pca_components", "cluster_k", "cluster_k_err", "cluster_k_ft")
+_ABOVE_0 = ("knn_k", "cluster_iou_weight", "loop_k_nn", "loop_lambda", "sim_n_seeds")
+# priority weights: nonnegative, and each formula's set sums to 1, which keeps scores in [0,1]
+_WEIGHT_SETS = (("bps_a", "bps_b"), ("mps_a", "mps_b", "mps_c", "mps_d"))
 
 
 class ConfigError(ValueError):
@@ -41,12 +50,12 @@ class Config:
     loop_k_nn: int = DEFAULT_LOOP_K
     loop_lambda: float = DEFAULT_LOOP_LAMBDA
     loop_pool_core: bool = False
-    bps_a: float = Coefficients.bps_a
-    bps_b: float = Coefficients.bps_b
-    mps_a: float = Coefficients.mps_a
-    mps_b: float = Coefficients.mps_b
-    mps_c: float = Coefficients.mps_c
-    mps_d: float = Coefficients.mps_d
+    bps_a: float = 0.75
+    bps_b: float = 0.25
+    mps_a: float = 0.50
+    mps_b: float = 0.25
+    mps_c: float = 0.20
+    mps_d: float = 0.05
     strategy: str = STRATEGY_BPS
     seed: int = 42
     sim_dims: int = 8
@@ -59,42 +68,33 @@ class Config:
     sim_budgets: tuple[int, ...] = tuple(range(250, 2151, 100))
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.pca_components < 0:
-            raise ConfigError("pca.components must be >= 0")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{_KEY_OF[f.name]} must be finite, got {getattr(self, f.name)}")
+        for name in _AT_LEAST_0:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{_KEY_OF[name]} must be >= 0")
+        for name in _ABOVE_0:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{_KEY_OF[name]} must be positive")
+        for weights in _WEIGHT_SETS:
+            for name in weights:
+                if getattr(self, name) < 0.0:
+                    raise ConfigError(f"{_KEY_OF[name]} must be nonnegative")
+            if abs(sum(getattr(self, name) for name in weights) - 1.0) > 1e-9:
+                raise ConfigError(f"{weights[0][:3]} coefficients must sum to 1 (within 1e-9)")
         if not 0.0 < self.pca_variance_threshold <= 1.0:
             raise ConfigError("pca.variance_threshold must lie in (0, 1]")
         if self.pca_fit not in (PCA_FIT_POOLED, PCA_FIT_CORE):
             raise ConfigError(f"pca.fit must be '{PCA_FIT_POOLED}' or '{PCA_FIT_CORE}'")
-        if self.knn_k < 1:
-            raise ConfigError("knn.k must be >= 1")
-        for name in ("cluster_k", "cluster_k_err", "cluster_k_ft"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{_KEY_OF[name]} must be >= 0")
-        if self.cluster_iou_weight <= 0:
-            raise ConfigError("cluster.iou_weight must be positive")
-        if self.loop_k_nn < 1:
-            raise ConfigError("loop.k_nn must be >= 1")
-        if self.loop_lambda <= 0:
-            raise ConfigError("loop.lambda must be positive")
         if self.strategy not in (STRATEGY_BPS, STRATEGY_MPS):
             raise ConfigError(f"strategy must be '{STRATEGY_BPS}' or '{STRATEGY_MPS}'")
-        try:
-            self.coefficients()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.sim_dims < 1 or self.sim_core_n < 1 or self.sim_ft_n < 1:
-            raise ConfigError("sim dimensions and sample counts must be positive")
-        if not 0.0 <= self.sim_outlier_fraction <= 0.2:
-            raise ConfigError("sim.outlier_fraction must lie in [0, 0.2]")
-        if self.sim_n_seeds < 1:
-            raise ConfigError("sim.n_seeds must be >= 1")
         if not self.sim_budgets or any(b < 1 for b in self.sim_budgets):
             raise ConfigError("sim.budgets must be positive")
-
-    def coefficients(self) -> Coefficients:
-        return Coefficients(**{f.name: getattr(self, f.name) for f in fields(Coefficients)})
+        try:
+            self.synthetic_spec()
+        except ValueError as exc:
+            raise ConfigError(f"sim: {exc}") from None
 
     def synthetic_spec(self) -> SyntheticSpec:
         base = default_spec(seed=self.seed, dims=self.sim_dims)

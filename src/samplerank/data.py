@@ -251,14 +251,19 @@ def _save_csv(corpus: Corpus, path) -> None:
             writer.writerow([rec.id, rec.split, iou] + [f"{x:.9g}" for x in rec.vector])
 
 
-def _load_csv(path) -> Corpus:
+def read_utf8(path) -> str:
+    """The text of *path*; bytes that are not UTF-8 raise DataFormatError naming the line."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        text = blob.decode("utf-8")
+        return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = blob.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_csv(path) -> Corpus:
+    text = read_utf8(path)
     if '"' in text:
         line = text.count("\n", 0, text.index('"')) + 1
         raise DataFormatError(f"{path}: line {line}: quoted field; records are unquoted, one per line")

@@ -16,12 +16,13 @@ baseline.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._dist import nearest
-from .data import Corpus
+from .data import Corpus, read_utf8
 from .config import Config
 from .pipeline import compute_scores
 from .scoring import STRATEGY_BPS, STRATEGY_MPS, rank
@@ -177,12 +178,11 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 def read_sweep_csv(path) -> SweepResult:
     """Rows written by ``write_sweep_csv``; a malformed row raises ValueError naming the file and record."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header, *table = list(reader) or [None]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header, *table = list(reader) or [None]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if header != ["strategy", "budget", "seed", "quality"]:
         raise ValueError(f"{path}: malformed sweep header {header!r}")
     rows = []
@@ -190,7 +190,12 @@ def read_sweep_csv(path) -> SweepResult:
         try:
             if len(r) != 4:
                 raise ValueError(f"expected 4 fields, got {len(r)}")
-            rows.append(SweepRow(strategy=r[0], budget=int(r[1]), seed=int(r[2]), quality=float(r[3])))
+            row = SweepRow(strategy=r[0], budget=int(r[1]), seed=int(r[2]), quality=float(r[3]))
+            if row.budget < 1:
+                raise ValueError(f"budget {row.budget} is not positive")
+            if not 0.0 <= row.quality <= 1.0:
+                raise ValueError(f"quality {row.quality} outside [0,1]")
+            rows.append(row)
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from None
     return SweepResult(rows=tuple(rows))

@@ -73,7 +73,7 @@ def score_finetune(
 ) -> Scores:
     """Compute every feature for the unlabelled pool and both priority scores."""
     if len(finetune) == 0:
-        return score_all(*[np.empty(0)] * 6, coeffs=params.coefficients())
+        return score_all(*[np.empty(0)] * 6, params=params)
     ft_reduced = pca.transform_batch(models.reduction, finetune.vectors())
     pred_ious = metrics.predict_iou_batch(models.predictor, ft_reduced)
 
@@ -105,7 +105,7 @@ def score_finetune(
         loop=outlier_scores,
         orph=report.orph_weight,
         err=report.err_weight,
-        coeffs=params.coefficients(),
+        params=params,
     )
 
 

@@ -5,8 +5,9 @@ Two formulas, both mapping [0,1] features to a [0,1] priority:
     basic      = a*dist + b*(1 - iou)
     multiparty = (a*orph + b*err + c*dist + d*(1 - iou)) * (1 - loop)
 
-The coefficient sets are constrained to sum to 1, which is what keeps the
-scores inside [0,1]. The multiparty form suppresses isolated samples via
+The weights are ``Config`` fields (``bps_a`` ... ``mps_d``). ``Config``
+requires each set to be nonnegative and to sum to 1, which is what keeps
+the scores inside [0,1]. The multiparty form suppresses isolated samples via
 the outlier probability and rewards membership in orphaned and error
 clusters. Features and scores travel as columns: one array per feature,
 aligned with the pool's sample order.
@@ -19,32 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-_SUM_TOL = 1e-9
+from .config import STRATEGY_BPS, STRATEGY_MPS, Config
 
-STRATEGY_BPS = "bps"
-STRATEGY_MPS = "mps"
 _STRATEGIES = (STRATEGY_BPS, STRATEGY_MPS)
-
-
-@dataclass(frozen=True)
-class Coefficients:
-    """Importance weights; defaults follow the reference parameterisation."""
-
-    bps_a: float = 0.75
-    bps_b: float = 0.25
-    mps_a: float = 0.50
-    mps_b: float = 0.25
-    mps_c: float = 0.20
-    mps_d: float = 0.05
-
-    def __post_init__(self) -> None:
-        values = (self.bps_a, self.bps_b, self.mps_a, self.mps_b, self.mps_c, self.mps_d)
-        if any(v < 0.0 for v in values):
-            raise ValueError("coefficients must be nonnegative")
-        if abs(self.bps_a + self.bps_b - 1.0) > _SUM_TOL:
-            raise ValueError("bps coefficients must sum to 1")
-        if abs(self.mps_a + self.mps_b + self.mps_c + self.mps_d - 1.0) > _SUM_TOL:
-            raise ValueError("mps coefficients must sum to 1")
 
 
 def _check_unit(ids=None, **features) -> None:
@@ -59,23 +37,23 @@ def _check_unit(ids=None, **features) -> None:
         raise ValueError(f"{where}{names[which]}={value} outside [0,1]")
 
 
-def bps(dist, pred_iou, coeffs: Coefficients = Coefficients()):
+def bps(dist, pred_iou, params: Config = Config()):
     """Basic priority: far from every known cluster and predicted to score poorly.
 
     Takes scalars or equal-shape arrays and returns the same shape.
     """
     _check_unit(dist=dist, pred_iou=pred_iou)
-    return coeffs.bps_a * dist + coeffs.bps_b * (1.0 - pred_iou)
+    return params.bps_a * dist + params.bps_b * (1.0 - pred_iou)
 
 
-def mps(orph, err, dist, pred_iou, loop, coeffs: Coefficients = Coefficients()):
+def mps(orph, err, dist, pred_iou, loop, params: Config = Config()):
     """Multiparty priority with outlier suppression; scalars or equal-shape arrays."""
     _check_unit(orph=orph, err=err, dist=dist, pred_iou=pred_iou, loop=loop)
     inner = (
-        coeffs.mps_a * orph
-        + coeffs.mps_b * err
-        + coeffs.mps_c * dist
-        + coeffs.mps_d * (1.0 - pred_iou)
+        params.mps_a * orph
+        + params.mps_b * err
+        + params.mps_c * dist
+        + params.mps_d * (1.0 - pred_iou)
     )
     return inner * (1.0 - loop)
 
@@ -109,7 +87,7 @@ class Scores:
         return self.ids.size
 
 
-def score_all(ids, dist, pred_iou, loop, orph, err, coeffs: Coefficients = Coefficients()) -> Scores:
+def score_all(ids, dist, pred_iou, loop, orph, err, params: Config = Config()) -> Scores:
     """Evaluate both formulas over feature columns aligned with *ids*."""
     dist, pred_iou, loop, orph, err = (
         np.asarray(c, dtype=np.float64) for c in (dist, pred_iou, loop, orph, err)
@@ -117,8 +95,8 @@ def score_all(ids, dist, pred_iou, loop, orph, err, coeffs: Coefficients = Coeff
     _check_unit(ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err)
     return Scores(
         ids=ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err,
-        bps=bps(dist, pred_iou, coeffs),
-        mps=mps(orph, err, dist, pred_iou, loop, coeffs),
+        bps=bps(dist, pred_iou, params),
+        mps=mps(orph, err, dist, pred_iou, loop, params),
     )
 
 

@@ -22,6 +22,14 @@ def embedding_files(tmp_path_factory):
     return root / "core.emb", root / "ft.emb"
 
 
+# every config key of a float setting
+FLOAT_KEYS = [
+    "pca.variance_threshold", "cluster.iou_weight", "loop.lambda",
+    "coeff.bps_a", "coeff.bps_b", "coeff.mps_a", "coeff.mps_b", "coeff.mps_c", "coeff.mps_d",
+    "sim.outlier_fraction", "sim.novel_stddev",
+]
+
+
 def _sim_config(tmp_path, name="sim.cfg", **extra):
     lines = [
         "sim.core_n = 250",
@@ -248,14 +256,27 @@ class TestScatterAndReport:
             ("random,10", "record 1: expected 4 fields, got 2"),
             ("random,ten,1,0.5", "record 1: invalid literal for int() with base 10: 'ten'"),
             ("random,10,1," + "9" * 140_000, "line 3: field larger than field limit"),
+            ("random,10,1,nan", "record 1: quality nan outside [0,1]"),
+            ("random,10,1,inf", "record 1: quality inf outside [0,1]"),
+            ("random,10,1,1.5", "record 1: quality 1.5 outside [0,1]"),
+            ("random,-5,1,0.5", "record 1: budget -5 is not positive"),
         ],
-        ids=["short_row", "bad_number", "huge_field"],
+        ids=["short_row", "bad_number", "huge_field", "nan_quality", "inf_quality", "quality_above_1",
+             "negative_budget"],
     )
     def test_malformed_sweep_row_exits_2_naming_file_and_record(self, tmp_path, capsys, row, message):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(f"strategy,budget,seed,quality\nrandom,10,1,0.5\n{row}\n")
         assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
         assert f"{sweep}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
+
+    def test_utf16_sweep_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_bytes("strategy,budget,seed,quality\n".encode("utf-16"))
+        assert sweep.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
+        assert f"{sweep}: line 1: not UTF-8 text" in capsys.readouterr().err
 
     def test_header_only_sweep_exits_2_naming_it(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -304,6 +325,52 @@ class TestUsageAndConfig:
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_is_usage_error_naming_key(self, tmp_path, capsys, key, value):
+        cfg = _sim_config(tmp_path, **{key: value})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sim.novel_sizes", "5,-1", "sim: invalid novel cluster parameters"),
+            ("sim.dims", "1", "sim: default geometry needs dims >= 2"),
+        ],
+    )
+    def test_bad_sim_value_is_usage_error(self, tmp_path, capsys, key, value, message):
+        cfg = _sim_config(tmp_path, **{key: value})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_nan_weight_ranks_nothing(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("coeff.mps_a = nan\n")
+        args = ["--config", str(cfg), "--out-dir", str(tmp_path), "rank", "--finetune", str(ft), "--strategy", "mps"]
+        assert main(args) == 1
+        assert "coeff.mps_a must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "queue.csv").exists()
+
+    # numpy warns while casting the 1e20 allocation, before the OverflowError under test
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_huge_sim_count_exits_2(self, tmp_path, capsys):
+        cfg = _sim_config(tmp_path, **{"sim.core_n": 10**20})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 2
+        assert "samplerank: error: Python int too large" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 23.3 TiB")
+
+        monkeypatch.setattr("samplerank.synthetic.generate_synthetic", exhausted)
+        cfg = _sim_config(tmp_path)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 2
+        assert "samplerank: error: Unable to allocate 23.3 TiB" in capsys.readouterr().err
 
     def test_dump_config_round_trip(self, tmp_path):
         dump = tmp_path / "effective.cfg"

@@ -1,6 +1,9 @@
 """Config file parsing, validation, and round-trips."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +16,8 @@ from samplerank.pca import fit_pca
 from samplerank.pipeline import fit_models
 from samplerank.synthetic import NovelClusterSpec, default_spec, generate_synthetic
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # the user-facing config keys, in dump order; a field rename must not change them
 KEYS = [
@@ -147,3 +151,14 @@ class TestKeySurface:
         paragraph = text[start : text.index("\n\n", start)]
         named = set(re.findall(r"`([^`]+)`", paragraph))
         assert [key for key in KEYS if key not in named] == []
+
+
+class TestReadmeExample:
+    def test_library_use_block_runs(self):
+        text = README.read_text()
+        start = text.index("```python\n", text.index("## Library use")) + len("```python\n")
+        code = text[start : text.index("```", start)]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

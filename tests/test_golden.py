@@ -1,9 +1,10 @@
 """Byte-level golden outputs of the CLI on small seeded instances.
 
 The digests below pin the exact bytes of the ranked queues, the persisted
-models, the budget sweep and the scatter export. A refactor that claims
-identical behaviour must leave them unchanged; a change that alters an
-output on purpose has to update the digest and say why.
+models, the budget sweep with its summary and aggregates, and the scatter
+export. A refactor that claims identical behaviour must leave them
+unchanged; a change that alters an output on purpose has to update the
+digest and say why.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ GOLDEN = {
     "queue_bps.csv": "003c571b315bcff0de08c1adcee156fc86e7b209abdfa5470938fdfb51358f4a",
     "queue_mps.csv": "ac2d52559db5dc384f031ad6d2481e824295246213e07732caaa7f6e6b54627f",
     "sweep.csv": "497b101ddff09347ca9d83ce5af3d27729e5dedf0286a27515413066b698e719",
+    "summary.txt": "a9d1a0c5f8f2806a214b9038b74346666db5a8201199e1aaa5747ed304ae3594",
+    "aggregates.csv": "33184902a5162dea09e2960c4f819cf2276f9353b9c7569011992fd383e6f005",
     "scatter.csv": "2ac64532e3fa8f8e0618996dfa96480e36f595a56518588bcb298aa0cb59ecd2",
 }
 
@@ -65,8 +68,8 @@ def outputs(tmp_path_factory):
     sim = root / "sim"
     assert main(["--config", str(config), "--out-dir", str(sim), "simulate"]) == 0
     assert main(["--config", str(config), "--out-dir", str(sim), "scatter"]) == 0
-    digests["sweep.csv"] = _sha256(sim / "sweep.csv")
-    digests["scatter.csv"] = _sha256(sim / "scatter.csv")
+    for name in ("sweep.csv", "summary.txt", "aggregates.csv", "scatter.csv"):
+        digests[name] = _sha256(sim / name)
     return digests
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from samplerank.config import Config, ConfigError
 from samplerank.scoring import (
-    Coefficients,
     Scores,
     bps,
     mps,
@@ -15,22 +15,22 @@ from samplerank.scoring import (
 )
 
 
-class TestCoefficients:
+class TestWeights:
     def test_defaults_are_valid(self):
-        c = Coefficients()
+        c = Config()
         assert c.bps_a == 0.75 and c.mps_d == 0.05
 
     def test_bps_sum_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            Coefficients(bps_a=0.8, bps_b=0.25)
+        with pytest.raises(ConfigError, match="sum to 1"):
+            Config(bps_a=0.8, bps_b=0.25)
 
     def test_mps_sum_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            Coefficients(mps_a=0.5, mps_b=0.25, mps_c=0.2, mps_d=0.1)
+        with pytest.raises(ConfigError, match="sum to 1"):
+            Config(mps_a=0.5, mps_b=0.25, mps_c=0.2, mps_d=0.1)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            Coefficients(bps_a=1.25, bps_b=-0.25)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            Config(bps_a=1.25, bps_b=-0.25)
 
 
 class TestBasicScore:
