@@ -1,25 +1,30 @@
 """Exact squared Euclidean distances and the one nearest-neighbour search.
 
-Distances come from explicit coordinate differences rather than the
-norm-expansion trick: identical points must give exactly zero (the IoU
-predictor's zero-distance rule and the coverage oracle's self-matching
-both rely on it), and every caller must see bit-identical values for the
-same pair of points.
+Distances come from explicit coordinate differences, not the norm-expansion
+trick: identical points must give exactly zero (the IoU predictor's
+zero-distance rule and the coverage oracle's self-matching rely on it), and
+every caller must see the same bits for the same pair of points. The kernel
+never forms the (len(a), len(b), d) difference block: it squares one
+(len(a), len(b)) buffer per coordinate and adds the buffers in the order
+numpy's ``pairwise_sum`` adds the d terms of each row of
+``((a[:, None] - b[None]) ** 2).sum(axis=2)`` (in sequence below 8 terms,
+eight strided accumulators up to 128, halves above), so the float64 bits
+match in O(len(a) * len(b)) memory (``tests/test_dist.py`` checks them).
 
-The kernel never forms the (len(a), len(b), d) difference block. It builds
-one (len(a), len(b)) buffer of squared differences per coordinate and adds
-the buffers in the order numpy's ``pairwise_sum`` adds the d terms of each
-row of ``((a[:, None] - b[None]) ** 2).sum(axis=2)``: in sequence below 8
-terms, with eight strided accumulators up to 128, split in halves above.
-The same terms added in the same order give the same float64 bits, in
-O(len(a) * len(b)) memory with no d factor (``tests/test_dist.py`` checks
-the bits against the broadcast formula).
+The terms run with numpy's ufunc buffer no longer than a row: ``len(b)``
+rounded down to a multiple of 16, within [16, 8192], and the caller's size
+restored after (``np.setbufsize`` in ``try/finally``; ``np.errstate``
+restores it only on numpy 2). With a longer buffer numpy 2.4 copies the
+stride-0 operands of ``np.subtract.outer`` into it: 1.0-1.6 ns per element
+against 0.23-0.35 (2-vCPU VM), half the kernel's time on 28 x 2,200 LoOP
+tiles. So k=1 against a *b* shorter than a tile runs as (len(b), tile)
+blocks, the tile in column order, and an argmin down each column: the bits
+and ties are the same, as ``(b - a) ** 2`` equals ``(a - b) ** 2`` exactly.
 
 ``nearest`` lends the kernel one list of spare term buffers per call and
 reuses them for every tile (``out=``): fresh buffers land on fresh pages
-whenever the C heap was just trimmed, which made a first LoOP-sized scan
-2.9 s against 1.7 s warm (2-vCPU VM). No reference cycle holds the list,
-so the buffers are freed when ``nearest`` returns, not at a collection.
+when the C heap was just trimmed (a first LoOP-sized scan took 2.9 s, 1.7 s
+warm; 2-vCPU VM). No reference cycle holds the list, so it is freed on return.
 """
 
 from __future__ import annotations
@@ -40,10 +45,13 @@ def sq_dist_matrix(a: np.ndarray, b: np.ndarray, spare: list | None = None) -> n
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"points of dimension {a.shape[1]} against {b.shape[1]}")
     size = len(a) * len(b)
     if a.shape[1] == 0:
         return np.zeros(size).reshape(len(a), len(b))
     spare = [] if spare is None else spare
+    old = np.setbufsize(min(8192, max(16, len(b) - len(b) % 16)))  # no longer than a row
 
     def term(j):  # squared differences in coordinate j, in a buffer of its own
         t = (spare.pop() if spare else np.empty(size))[:size].reshape(len(a), len(b))
@@ -55,7 +63,10 @@ def sq_dist_matrix(a: np.ndarray, b: np.ndarray, spare: list | None = None) -> n
         spare.append(t.base)
         return s
 
-    return _pairwise(term, add, 0, a.shape[1])
+    try:
+        return _pairwise(term, add, 0, a.shape[1])
+    finally:
+        np.setbufsize(old)
 
 
 def _run(term, add, lo, hi, step=1):  # terms lo, lo + step, ... below hi, in sequence
@@ -95,9 +106,11 @@ def nearest(
     idx = np.empty((len(a), k), dtype=np.intp)
     d2 = np.empty((len(a), k))
     tile = max(1, _CHUNK_BUDGET // max(1, b.size))
+    flip = k == 1 and not exclude_self and len(b) < tile  # long kernel rows: (len(b), tile)
     spare = []  # term buffers reused from tile to tile, freed on return
     for start in range(0, len(a), tile):
-        d = sq_dist_matrix(a[start : start + tile], b, spare)
+        q = np.asfortranarray(a[start : start + tile]) if flip else a[start : start + tile]
+        d = sq_dist_matrix(b, q, spare).T if flip else sq_dist_matrix(q, b, spare)
         if exclude_self:
             d[np.arange(len(d)), np.arange(start, start + len(d))] = np.inf
         if k == 1:

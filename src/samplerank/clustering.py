@@ -59,6 +59,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centres
 
 
+def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    # per-label sums, each point added in index order: the bits of np.add.at
+    return np.array([np.bincount(labels, column, k) for column in points.T]).reshape(-1, k).T
+
+
 def kmeans(
     points: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,8 +92,7 @@ def kmeans(
             counts = np.bincount(labels, minlength=k)
 
         inertia = m.sum()
-        sums = np.zeros_like(centres)
-        np.add.at(sums, labels, points)
+        sums = _cluster_sums(points, labels, k)
         keep = counts > 0
         centres[keep] = sums[keep] / counts[keep, None]
 
@@ -119,16 +123,13 @@ class ClusterModel:
     is_error: np.ndarray       # (K,) bool
 
     def __post_init__(self) -> None:
-        for name in ("centroids", "feature_mean", "feature_scale", "p95_radius"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        f64 = np.float64
+        for name, dtype in (("centroids", f64), ("feature_mean", f64), ("feature_scale", f64),
+                            ("p95_radius", f64), ("member_count", np.int64), ("is_error", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        counts = np.asarray(self.member_count, dtype=np.int64)
-        flags = np.asarray(self.is_error, dtype=bool)
-        counts.setflags(write=False)
-        flags.setflags(write=False)
-        object.__setattr__(self, "member_count", counts)
-        object.__setattr__(self, "is_error", flags)
+        counts, flags = self.member_count, self.is_error
         k = self.centroids.shape[0]
         if k < 1 or self.centroids.ndim != 2:
             raise ValueError("need at least one centroid")

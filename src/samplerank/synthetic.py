@@ -62,8 +62,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.dims < 1:
             raise ValueError("dims must be positive")
-        if self.core_n < 1 or self.ft_n < 1:
-            raise ValueError("sample counts must be positive")
+        for name in ("core_n", "ft_n"):  # _largest_remainder is exact in float64 to 2**53
+            if not 1 <= getattr(self, name) <= 2**53:
+                raise ValueError(f"{name} must lie in [1, 2**53]")
         if not 0.0 <= self.outlier_fraction <= 0.2:
             raise ValueError("outlier_fraction must lie in [0, 0.2]")
         if not self.core_clusters:
@@ -80,6 +81,13 @@ class SyntheticSpec:
                 raise ValueError("invalid novel cluster parameters")
         if sum(c.weight for c in self.core_clusters) <= 0:
             raise ValueError("core cluster weights must not all be zero")
+        if self.ft_base_n < 0:
+            raise ValueError(
+                f"infeasible spec: novel sizes ({self.novel_total}) plus outliers "
+                f"({self.n_outliers}) exceed ft_n ({self.ft_n})"
+            )
+        if self.ft_base_n > 0 and sum(c.finetune_weight for c in self.core_clusters) <= 0:
+            raise ValueError("infeasible spec: fine-tuning base pool needs a positive mode weight")
 
     @property
     def n_outliers(self) -> int:
@@ -208,15 +216,7 @@ def _place_novel_centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.nd
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, Corpus, GroundTruth]:
     """Draw (reference corpus, fine-tuning corpus, hidden truth) from one seed."""
-    if spec.ft_base_n < 0:
-        raise ValueError(
-            f"infeasible spec: novel sizes ({spec.novel_total}) plus outliers "
-            f"({spec.n_outliers}) exceed ft_n ({spec.ft_n})"
-        )
     ft_weights = np.array([c.finetune_weight for c in spec.core_clusters])
-    if spec.ft_base_n > 0 and ft_weights.sum() <= 0:
-        raise ValueError("infeasible spec: fine-tuning base pool needs a positive mode weight")
-
     rng = np.random.default_rng(spec.seed)
     dims = spec.dims
     centers = np.array([c.center for c in spec.core_clusters])

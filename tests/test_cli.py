@@ -339,6 +339,7 @@ class TestUsageAndConfig:
         [
             ("sim.novel_sizes", "5,-1", "sim: invalid novel cluster parameters"),
             ("sim.dims", "1", "sim: default geometry needs dims >= 2"),
+            ("sim.ft_n", "50", "sim: infeasible spec: novel sizes (60) plus outliers (1) exceed ft_n (50)"),
         ],
     )
     def test_bad_sim_value_is_usage_error(self, tmp_path, capsys, key, value, message):
@@ -356,12 +357,12 @@ class TestUsageAndConfig:
         assert "coeff.mps_a must be finite" in capsys.readouterr().err
         assert not (tmp_path / "queue.csv").exists()
 
-    # numpy warns while casting the 1e20 allocation, before the OverflowError under test
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-    def test_huge_sim_count_exits_2(self, tmp_path, capsys):
+    def test_huge_sim_count_is_usage_error_naming_key(self, tmp_path, capsys):
         cfg = _sim_config(tmp_path, **{"sim.core_n": 10**20})
-        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 2
-        assert "samplerank: error: Python int too large" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 1
+        err = capsys.readouterr().err
+        assert "sim: core_n must lie in [1, 2**53]" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(spec):

@@ -5,6 +5,7 @@ import pytest
 
 from samplerank.clustering import (
     ClusterModel,
+    _cluster_sums,
     classify_batch,
     default_cluster_count,
     detect_orphans,
@@ -58,6 +59,17 @@ class TestKmeans:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             kmeans(np.ones((4, 2)), 5)
+
+    def test_cluster_sums_keep_the_bits_of_add_at(self):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(500, 9)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+        labels = rng.integers(0, 7, size=500)
+        labels[labels == 3] = 5  # clusters 3 and 7 empty, every other label repeated
+        ref = np.zeros((8, 9))
+        np.add.at(ref, labels, points)
+        got = _cluster_sums(points, labels, 8)
+        assert got.shape == (8, 9)
+        assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
 
     def test_default_cluster_count_rule(self):
         assert default_cluster_count(2000) == 16  # sqrt(1000) ~ 32, clamped

@@ -173,3 +173,50 @@ def test_one_tile_mixing_tied_and_untied_rows(k):
     ref = np.argsort(full, axis=1, kind="stable")[:, :k]
     np.testing.assert_array_equal(idx, ref)
     assert d2.tobytes() == np.take_along_axis(full, ref, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n_b", [1, 2, 5])
+def test_k1_against_short_b_matches_stable_argsort(n_b, monkeypatch):
+    """k=1 with len(b) below the tile's row count scans (len(b), tile) blocks."""
+    calls = []
+    original = _dist.sq_dist_matrix
+
+    def counting(a, b, *rest):
+        calls.append((len(a), len(b)))
+        return original(a, b, *rest)
+
+    a, b = _grid_points(9, 47), _grid_points(10, n_b)
+    monkeypatch.setattr(_dist, "sq_dist_matrix", counting)
+    monkeypatch.setattr(_dist, "_CHUNK_BUDGET", 10 * b.size)  # tiles of 10 query rows
+    idx, d2 = nearest(a, b)
+    assert calls == [(n_b, 10)] * 4 + [(n_b, 7)]  # flipped, the last tile ragged
+    full = _broadcast(a, b)
+    ref = np.argsort(full, axis=1, kind="stable")[:, :1]
+    np.testing.assert_array_equal(idx, ref)
+    assert d2.tobytes() == np.take_along_axis(full, ref, axis=1).tobytes()
+
+
+def test_ufunc_buffer_size_is_restored():
+    """The kernel shrinks numpy's ufunc buffer to a row and gives the caller's size back."""
+    rng = np.random.default_rng(10)
+    a, b = rng.normal(size=(30, 4)), rng.normal(size=(3, 4))
+    old = np.setbufsize(4096)
+    try:
+        sq_dist_matrix(a, b)
+        nearest(a, b)
+        nearest(a, a, 3, exclude_self=True)
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError):  # a spare buffer too small for the block fails mid-sum
+            sq_dist_matrix(a, b, [np.empty(1)])
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_dimension_mismatch_raises_either_way(k):
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(30, 4)), rng.normal(size=(3, 4))
+    for x, y in ((a, b[:, :2]), (a[:, :2], b)):
+        with pytest.raises(ValueError, match="dimension"):
+            nearest(x, y, k)

@@ -108,9 +108,8 @@ class TestGeometry:
 
 class TestSpecValidation:
     def test_infeasible_novel_sizes(self):
-        spec = _small_spec(novel_clusters=(NovelClusterSpec(size=500),))
         with pytest.raises(ValueError, match="infeasible"):
-            generate_synthetic(spec)
+            _small_spec(novel_clusters=(NovelClusterSpec(size=500),))
 
     def test_outlier_fraction_bounds(self):
         with pytest.raises(ValueError, match="outlier_fraction"):
@@ -125,12 +124,11 @@ class TestSpecValidation:
 
     def test_base_pool_needs_a_mode(self):
         spec = _small_spec()
-        stripped = replace(
-            spec,
-            core_clusters=tuple(replace(c, finetune_weight=0.0) for c in spec.core_clusters),
-        )
         with pytest.raises(ValueError, match="positive mode weight"):
-            generate_synthetic(stripped)
+            replace(
+                spec,
+                core_clusters=tuple(replace(c, finetune_weight=0.0) for c in spec.core_clusters),
+            )
 
     def test_default_spec_shape(self):
         spec = default_spec()
