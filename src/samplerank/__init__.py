@@ -2,7 +2,6 @@
 
 from .clustering import (
     ClusterModel,
-    OrphanCluster,
     OrphanReport,
     classify_batch,
     detect_orphans,
@@ -26,7 +25,7 @@ from .harness import (
     run_budget_sweep,
     surrogate_quality,
 )
-from .metrics import IouPredictor, fit_iou_predictor, iou, predict_iou_batch
+from .metrics import IouPredictor, iou, predict_iou_batch
 from .loop import LoopModel, fit_loop
 from .pca import PcaModel, explained_variance_ratio, fit_pca, transform_batch
 from .config import Config
@@ -37,7 +36,6 @@ from .scoring import (
     mps,
     rank,
     score_all,
-    select_budget,
 )
 from .synthetic import (
     CoreClusterSpec,

@@ -154,6 +154,8 @@ def cmd_rank(config: Config, args) -> int:
 
 def cmd_simulate(config: Config, args) -> int:
     spec = config.synthetic_spec()
+    if max(config.sim_budgets) > spec.ft_n:
+        raise ConfigError(f"sim.budgets must not exceed sim.ft_n={spec.ft_n}")
     result = harness.run_budget_sweep(
         spec,
         budgets=config.sim_budgets,
@@ -182,9 +184,7 @@ def cmd_scatter(config: Config, args) -> int:
     xy_core = pca.transform_batch(view, core.vectors())
     xy_ft = pca.transform_batch(view, finetune.vectors())
 
-    predictor = metrics.fit_iou_predictor(
-        xy_core, core.measured_ious(), k=min(config.knn_k, len(core))
-    )
+    predictor = metrics.IouPredictor(xy_core, core.measured_ious(), k=min(config.knn_k, len(core)))
     ft_ious = metrics.predict_iou_batch(predictor, xy_ft)
 
     os.makedirs(config.out_dir, exist_ok=True)

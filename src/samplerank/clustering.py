@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import nearest, sq_dist_matrix
-from .data import read_f32, read_model_file
+from .data import read_f32, read_model_file, read_only
 
 ERROR_IOU_THRESHOLD = 0.5
 
@@ -126,9 +126,7 @@ class ClusterModel:
         f64 = np.float64
         for name, dtype in (("centroids", f64), ("feature_mean", f64), ("feature_scale", f64),
                             ("p95_radius", f64), ("member_count", np.int64), ("is_error", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         counts, flags = self.member_count, self.is_error
         k = self.centroids.shape[0]
         if k < 1 or self.centroids.ndim != 2:
@@ -169,16 +167,10 @@ class ClusterModel:
 
 
 @dataclass(frozen=True)
-class OrphanCluster:
-    centroid: np.ndarray
-    member_indices: np.ndarray
-
-
-@dataclass(frozen=True)
 class OrphanReport:
-    """Orphan clusters plus per-sample orphan/error membership weights."""
+    """Member counts of the orphan clusters plus per-sample orphan/error membership weights."""
 
-    orphan_clusters: tuple[OrphanCluster, ...]
+    orphan_clusters: tuple[int, ...]
     orph_weight: np.ndarray  # (n_ft,) in [0,1]
     err_weight: np.ndarray   # (n_ft,) in [0,1]
 
@@ -346,21 +338,13 @@ def detect_orphans(
     centres, labels = kmeans(ft_points, k_ft, seed)
     core = model.core_indices
     gap = np.sqrt(sq_dist_matrix(centres, model.centroids[core]))
-    orphaned = np.flatnonzero((gap > model.p95_radius[core][None, :]).all(axis=1))
+    orphaned = (gap > model.p95_radius[core][None, :]).all(axis=1)
 
-    orph_weight = np.zeros(n)
-    clusters: list[OrphanCluster] = []
-    if orphaned.size:
-        sizes = np.bincount(labels, minlength=k_ft)[orphaned]
-        biggest = sizes.max()
-        for j, size in zip(orphaned, sizes):
-            members = np.flatnonzero(labels == j)
-            clusters.append(OrphanCluster(centroid=centres[j].copy(), member_indices=members))
-            orph_weight[members] = size / biggest
-
+    sizes = np.bincount(labels, minlength=k_ft)
+    biggest = sizes[orphaned].max(initial=1)
     return OrphanReport(
-        orphan_clusters=tuple(clusters),
-        orph_weight=orph_weight,
+        orphan_clusters=tuple(sizes[orphaned].tolist()),
+        orph_weight=np.where(orphaned[labels], sizes[labels] / biggest, 0.0),
         err_weight=error_membership(model, ft_points),
     )
 

@@ -37,6 +37,15 @@ class DataFormatError(ValueError):
     """Raised when an input file cannot be parsed or fails validation."""
 
 
+def read_only(value, dtype) -> np.ndarray:
+    """*value* as a read-only array of *dtype* for a record to keep; the caller's array stays writable."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr is value:  # no copy was made: freeze a view, not the caller's own object
+        arr = arr.view()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     """One sample: a latent vector plus an optional measured IoU.
@@ -55,12 +64,11 @@ class EmbeddingRecord:
             raise ValueError(f"record id must be a non-negative integer, got {self.id!r}")
         if self.split not in _SPLITS:
             raise ValueError(f"split must be one of {_SPLITS}, got {self.split!r}")
-        vec = np.asarray(self.vector, dtype=np.float32)
+        vec = read_only(self.vector, np.float32)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("vector must be a non-empty 1-D array")
         if not np.isfinite(vec).all():
             raise ValueError("vector contains non-finite values")
-        vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         if self.measured_iou is not None:
             iou = float(np.float32(self.measured_iou))
@@ -325,10 +333,9 @@ class BinaryMask:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("mask dimensions must be positive")
-        bits = np.asarray(self.bits, dtype=bool)
+        bits = read_only(self.bits, bool)
         if bits.shape != (self.height, self.width):
             raise ValueError(
                 f"bits shape {bits.shape} does not match (height, width)=({self.height}, {self.width})"
             )
-        bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)

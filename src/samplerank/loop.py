@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import nearest
+from .data import read_only
 
 DEFAULT_LOOP_K = 20
 DEFAULT_LOOP_LAMBDA = 3.0
@@ -34,19 +35,13 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class LoopModel:
-    points: np.ndarray   # (n, R)
-    k_nn: int
-    lam: float
     nplof: float
-    pdist: np.ndarray    # (n,)
     plof: np.ndarray     # (n,)
     scores: np.ndarray   # (n,)
 
     def __post_init__(self) -> None:
-        for name in ("points", "pdist", "plof", "scores"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("plof", "scores"):
+            object.__setattr__(self, name, read_only(getattr(self, name), np.float64))
 
 
 def fit_loop(
@@ -65,9 +60,7 @@ def fit_loop(
         raise ValueError("lambda must be positive")
 
     if np.all(points == points[0]):
-        zeros = np.zeros(n)
-        return LoopModel(points=points, k_nn=k_nn, lam=lam, nplof=0.0,
-                         pdist=zeros, plof=zeros.copy(), scores=zeros.copy())
+        return LoopModel(nplof=0.0, plof=np.zeros(n), scores=np.zeros(n))
 
     neighbours, d2 = nearest(points, points, k_nn, exclude_self=True)
     sigma = np.sqrt(d2.mean(axis=1))
@@ -84,5 +77,4 @@ def fit_loop(
     else:
         erf = np.vectorize(math.erf)
         scores = np.maximum(0.0, erf(plof / (nplof * math.sqrt(2.0))))
-    return LoopModel(points=points, k_nn=k_nn, lam=lam, nplof=nplof,
-                     pdist=pdist, plof=plof, scores=scores)
+    return LoopModel(nplof=nplof, plof=plof, scores=scores)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import nearest
-from .data import BinaryMask, read_f32, read_model_file
+from .data import BinaryMask, read_f32, read_model_file, read_only
 
 DEFAULT_KNN_K = 5
 
@@ -42,8 +42,7 @@ class IouPredictor:
     k: int
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=np.float64)
-        ious = np.asarray(self.ious, dtype=np.float64)
+        points, ious = read_only(self.points, np.float64), read_only(self.ious, np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("reference points must be a non-empty (n, R) array")
         if ious.shape != (points.shape[0],):
@@ -52,14 +51,8 @@ class IouPredictor:
             raise ValueError("reference IoUs must lie in [0,1]")
         if not 1 <= self.k <= points.shape[0]:
             raise ValueError(f"k={self.k} out of range [1, {points.shape[0]}]")
-        points.setflags(write=False)
-        ious.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "ious", ious)
-
-
-def fit_iou_predictor(points: np.ndarray, ious: np.ndarray, k: int = DEFAULT_KNN_K) -> IouPredictor:
-    return IouPredictor(points=points, ious=ious, k=k)
 
 
 def predict_iou_batch(predictor: IouPredictor, x: np.ndarray) -> np.ndarray:

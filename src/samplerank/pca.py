@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_f32, read_model_file
+from .data import read_f32, read_model_file, read_only
 
 _PCA_MAGIC = b"PCA1"
 
@@ -40,8 +40,7 @@ class PcaModel:
     total_variance: float
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        comp = np.asarray(self.components, dtype=np.float64)
+        mean, comp = read_only(self.mean, np.float64), read_only(self.components, np.float64)
         eig = np.asarray(self.eigenvalues, dtype=np.float64)
         if comp.ndim != 2 or mean.ndim != 1 or comp.shape[1] != mean.size:
             raise ValueError("components must be (R, D) with D matching mean")
@@ -52,11 +51,9 @@ class PcaModel:
         gram = comp @ comp.T
         if np.max(np.abs(gram - np.eye(comp.shape[0]))) > 1e-6:
             raise ValueError("component rows are not orthonormal within 1e-6")
-        for arr in (mean, comp, eig):
-            arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comp)
-        object.__setattr__(self, "eigenvalues", np.maximum(eig, 0.0))
+        object.__setattr__(self, "eigenvalues", read_only(np.maximum(eig, 0.0), np.float64))
 
     @property
     def n_components(self) -> int:

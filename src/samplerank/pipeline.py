@@ -50,9 +50,7 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
 
     core_reduced = pca.transform_batch(reduction, core_vectors)
     core_ious = core.measured_ious()
-    predictor = metrics.fit_iou_predictor(
-        core_reduced, core_ious, k=min(params.knn_k, len(core))
-    )
+    predictor = metrics.IouPredictor(core_reduced, core_ious, k=min(params.knn_k, len(core)))
 
     seed_core, seed_err = _subseeds(seed, 2)
     clusters = clustering.fit_core_clusters(

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import STRATEGY_BPS, STRATEGY_MPS, Config
+from .data import read_only
 
 _STRATEGIES = (STRATEGY_BPS, STRATEGY_MPS)
 
@@ -77,10 +78,9 @@ class Scores:
     def __post_init__(self) -> None:
         n = len(self.ids)
         for f in fields(self):
-            arr = np.asarray(getattr(self, f.name), dtype=np.uint64 if f.name == "ids" else np.float64)
+            arr = read_only(getattr(self, f.name), np.uint64 if f.name == "ids" else np.float64)
             if arr.shape != (n,):
                 raise ValueError(f"column {f.name} has shape {arr.shape}, expected ({n},)")
-            arr.setflags(write=False)
             object.__setattr__(self, f.name, arr)
 
     def __len__(self) -> int:
@@ -111,13 +111,6 @@ def _order(scores: Scores, which: str) -> np.ndarray:
 def rank(scores: Scores, which: str = STRATEGY_BPS) -> list[int]:
     """Ids ordered by descending score; ties break toward the smaller id."""
     return scores.ids[_order(scores, which)].tolist()
-
-
-def select_budget(ranked: list[int], n: int) -> list[int]:
-    """First n ids of a ranked queue; prefixes nest by construction."""
-    if not 1 <= n <= len(ranked):
-        raise ValueError(f"budget {n} out of range [1, {len(ranked)}]")
-    return list(ranked[:n])
 
 
 def write_queue_csv(scores: Scores, which: str, path) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, EmbeddingRecord, SPLIT_CORE, SPLIT_FINETUNE
+from .data import Corpus, EmbeddingRecord, SPLIT_CORE, SPLIT_FINETUNE, read_only
 
 OUTLIER_HIDDEN_ID = -1
 
@@ -148,9 +148,7 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         for name, dtype in (("hidden_cluster_id", np.int64), ("is_novel", bool), ("is_outlier", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -216,81 +214,41 @@ def _place_novel_centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.nd
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, Corpus, GroundTruth]:
     """Draw (reference corpus, fine-tuning corpus, hidden truth) from one seed."""
-    ft_weights = np.array([c.finetune_weight for c in spec.core_clusters])
     rng = np.random.default_rng(spec.seed)
-    dims = spec.dims
-    centers = np.array([c.center for c in spec.core_clusters])
+    modes = spec.core_clusters
+
+    def draw(center, stddev: float, n: int) -> np.ndarray:
+        return np.asarray(center) + stddev * _truncated_gaussian(rng, n, spec.dims, spec.truncate_sigma)
 
     # reference corpus
-    core_counts = _largest_remainder(np.array([c.weight for c in spec.core_clusters]), spec.core_n)
     core_vectors, core_ious = [], []
-    for cluster, count in zip(spec.core_clusters, core_counts):
-        z = _truncated_gaussian(rng, count, dims, spec.truncate_sigma)
-        core_vectors.append(np.asarray(cluster.center) + cluster.stddev * z)
-        core_ious.append(
-            np.clip(rng.normal(cluster.iou_mean, cluster.iou_stddev, count), 0.0, 1.0)
-        )
-    core_matrix = np.vstack(core_vectors)
-    core_iou_values = np.concatenate(core_ious)
+    for mode, count in zip(modes, _largest_remainder(np.array([m.weight for m in modes]), spec.core_n)):
+        core_vectors.append(draw(mode.center, mode.stddev, count))
+        core_ious.append(np.clip(rng.normal(mode.iou_mean, mode.iou_stddev, count), 0.0, 1.0))
+    core_matrix, core_ious = np.vstack(core_vectors), np.concatenate(core_ious)
 
-    # fine-tuning base pool, drawn from the reference modes under their own mix
-    if spec.ft_base_n > 0:
-        base_counts = _largest_remainder(ft_weights, spec.ft_base_n)
-    else:
-        base_counts = np.zeros(len(spec.core_clusters), dtype=int)
-    base_vectors, base_ids = [], []
-    for idx, (cluster, count) in enumerate(zip(spec.core_clusters, base_counts)):
-        if count == 0:
-            continue
-        z = _truncated_gaussian(rng, count, dims, spec.truncate_sigma)
-        base_vectors.append(np.asarray(cluster.center) + cluster.stddev * z)
-        base_ids.append(np.full(count, idx))
-
-    # novel clusters, clear of every reference mode
+    # fine-tuning pool, one component per hidden id: the reference modes under
+    # their own mix, then the novel clusters, clear of every reference mode
+    base_counts = np.zeros(len(modes), dtype=int)
+    if spec.ft_base_n > 0:  # all-zero weights have no proportional split
+        base_counts = _largest_remainder(np.array([m.finetune_weight for m in modes]), spec.ft_base_n)
+    pool = [draw(m.center, m.stddev, n) for m, n in zip(modes, base_counts)]
     novel_centers = _place_novel_centers(spec, rng)
-    novel_vectors, novel_ids = [], []
-    for j, nv in enumerate(spec.novel_clusters):
-        z = _truncated_gaussian(rng, nv.size, dims, spec.truncate_sigma)
-        novel_vectors.append(novel_centers[j] + nv.stddev * z)
-        novel_ids.append(np.full(nv.size, len(spec.core_clusters) + j))
+    pool += [draw(c, nv.stddev, nv.size) for c, nv in zip(novel_centers, spec.novel_clusters)]
 
-    structured = [core_matrix] + base_vectors + novel_vectors
-    structured_matrix = np.vstack(structured)
-    span = structured_matrix.max(axis=0) - structured_matrix.min(axis=0)
-    mid = (structured_matrix.max(axis=0) + structured_matrix.min(axis=0)) / 2.0
-    half_width = (_OUTLIER_BOX_SPANS / 2.0) * span.max()
-    outlier_vectors = rng.uniform(mid - half_width, mid + half_width, (spec.n_outliers, dims))
+    # isolated outliers, scattered over a box far wider than everything drawn so far
+    drawn = np.vstack([core_matrix] + pool)
+    lo, hi = drawn.min(axis=0), drawn.max(axis=0)
+    mid, half_width = (hi + lo) / 2.0, (_OUTLIER_BOX_SPANS / 2.0) * (hi - lo).max()
+    outliers = rng.uniform(mid - half_width, mid + half_width, (spec.n_outliers, spec.dims))
 
-    n_base = sum(len(v) for v in base_vectors)
-    ft_matrix = np.vstack(base_vectors + novel_vectors + [outlier_vectors.reshape(-1, dims)])
-    hidden = np.concatenate(
-        base_ids + novel_ids + [np.full(spec.n_outliers, OUTLIER_HIDDEN_ID)]
-    ).astype(np.int64)
-    novel_flags = np.concatenate(
-        [np.zeros(n_base, dtype=bool)]
-        + [np.ones(nv.size, dtype=bool) for nv in spec.novel_clusters]
-        + [np.zeros(spec.n_outliers, dtype=bool)]
-    )
-    outlier_flags = np.concatenate(
-        [np.zeros(n_base + spec.novel_total, dtype=bool), np.ones(spec.n_outliers, dtype=bool)]
-    )
+    order = rng.permutation(spec.ft_n)
+    ft_matrix = np.vstack(pool + [outliers])[order]
+    ids = np.append(np.arange(len(pool)), OUTLIER_HIDDEN_ID)
+    hidden = np.repeat(ids, [len(c) for c in pool] + [spec.n_outliers])[order]
+    truth = GroundTruth(hidden_cluster_id=hidden, is_novel=hidden >= len(modes),
+                        is_outlier=hidden == OUTLIER_HIDDEN_ID)
 
-    order = rng.permutation(ft_matrix.shape[0])
-    ft_matrix = ft_matrix[order]
-    truth = GroundTruth(
-        hidden_cluster_id=hidden[order],
-        is_novel=novel_flags[order],
-        is_outlier=outlier_flags[order],
-    )
-
-    core_records = tuple(
-        EmbeddingRecord(
-            id=i, split=SPLIT_CORE, vector=core_matrix[i], measured_iou=float(core_iou_values[i])
-        )
-        for i in range(spec.core_n)
-    )
-    ft_records = tuple(
-        EmbeddingRecord(id=spec.core_n + i, split=SPLIT_FINETUNE, vector=ft_matrix[i])
-        for i in range(spec.ft_n)
-    )
-    return Corpus(core_records), Corpus(ft_records), truth
+    core = (EmbeddingRecord(i, SPLIT_CORE, core_matrix[i], float(core_ious[i])) for i in range(spec.core_n))
+    ft = (EmbeddingRecord(spec.core_n + i, SPLIT_FINETUNE, ft_matrix[i]) for i in range(spec.ft_n))
+    return Corpus(tuple(core)), Corpus(tuple(ft)), truth

@@ -225,10 +225,11 @@ class TestSimulate:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
 
-    def test_budget_beyond_pool_exits_2(self, tmp_path, capsys):
+    def test_budget_beyond_pool_is_usage_error(self, tmp_path, capsys):
         cfg = _sim_config(tmp_path, **{"sim.budgets": "250,999"})
-        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 2
-        assert "budgets" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 1
+        assert "sim.budgets" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 class TestScatterAndReport:

@@ -1,4 +1,4 @@
-"""Corpus construction, file round-trips, and mask validation."""
+"""Corpus construction, file round-trips, mask validation, and read-only record arrays."""
 
 import warnings
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from samplerank.cli import main
+from samplerank.clustering import ClusterModel
 from samplerank.data import (
+    SPLIT_FINETUNE,
     BinaryMask,
     Corpus,
     DataFormatError,
@@ -14,6 +16,11 @@ from samplerank.data import (
     load_embeddings,
     save_embeddings,
 )
+from samplerank.loop import LoopModel
+from samplerank.metrics import IouPredictor
+from samplerank.pca import PcaModel
+from samplerank.scoring import Scores
+from samplerank.synthetic import GroundTruth
 
 
 def _random_corpus(rng, n=12, dim=4, split="core"):
@@ -216,3 +223,37 @@ class TestMasks:
     def test_mask_shape_validation(self):
         with pytest.raises(ValueError):
             BinaryMask(width=2, height=2, bits=np.zeros((3, 2), dtype=bool))
+
+
+def _record_cases():
+    """(constructor, scalar fields, array fields), every array already of the record's dtype."""
+    column = np.linspace(0.0, 1.0, 3)
+    return {
+        "EmbeddingRecord": (EmbeddingRecord, {"id": 1, "split": SPLIT_FINETUNE},
+                            {"vector": np.ones(3, np.float32)}),
+        "BinaryMask": (BinaryMask, {"width": 2, "height": 2}, {"bits": np.eye(2, dtype=bool)}),
+        "PcaModel": (PcaModel, {"total_variance": 3.0},
+                     {"mean": np.zeros(2), "components": np.eye(2), "eigenvalues": np.array([2.0, 1.0])}),
+        "IouPredictor": (IouPredictor, {"k": 1}, {"points": np.zeros((3, 2)), "ious": column.copy()}),
+        "ClusterModel": (ClusterModel, {"iou_weight": 1.0}, {
+            "centroids": np.zeros((2, 3)), "feature_mean": np.zeros(2), "feature_scale": np.ones(2),
+            "member_count": np.array([3, 4], np.int64), "p95_radius": np.ones(2),
+            "is_error": np.array([False, True])}),
+        "LoopModel": (LoopModel, {"nplof": 1.0}, {"plof": column.copy(), "scores": column.copy()}),
+        "Scores": (Scores, {}, {"ids": np.arange(3, dtype=np.uint64),
+                                **{name: column.copy() for name in
+                                   ("dist", "pred_iou", "loop", "orph", "err", "bps", "mps")}}),
+        "GroundTruth": (GroundTruth, {}, {"hidden_cluster_id": np.arange(3), "is_novel": np.ones(3, bool),
+                                          "is_outlier": np.zeros(3, bool)}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_record_cases()))
+def test_record_freezes_its_own_arrays_not_the_callers(name):
+    make, scalars, arrays = _record_cases()[name]
+    record = make(**scalars, **arrays)
+    for field, given in arrays.items():
+        given.flat[0] = given.flat[0]  # the caller may still write to its array
+        kept = getattr(record, field)
+        assert not kept.flags.writeable, field
+        np.testing.assert_array_equal(kept, given)

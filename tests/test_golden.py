@@ -76,3 +76,41 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_golden(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+def _spec_variants():
+    small = replace(default_spec(seed=13), core_n=300, ft_n=360,
+                    novel_clusters=(NovelClusterSpec(size=25), NovelClusterSpec(size=45)))
+    three_d = default_spec(seed=23, dims=3)
+    return {
+        "small-default": small,
+        "no-novel-no-outliers": replace(small, seed=21, novel_clusters=(), outlier_fraction=0.0),
+        "no-base-pool": replace(small, seed=22, ft_n=75, outlier_fraction=0.2,
+                                novel_clusters=(NovelClusterSpec(size=20), NovelClusterSpec(size=40))),
+        "3d-two-base-modes": replace(
+            three_d, core_n=240, ft_n=280,
+            core_clusters=tuple(replace(c, finetune_weight=w)
+                                for c, w in zip(three_d.core_clusters, (0.7, 0.0, 0.3, 0.0))),
+        ),
+    }
+
+
+GENERATOR_GOLDEN = {
+    "small-default": "5060d4e6b2f7caa7587763506a5729de1f35a27e198bdf92272883330a315683",
+    "no-novel-no-outliers": "61f78ed9d372bb97f74573ecce90a782089a8f62d6ad20446562a8c453242fef",
+    "no-base-pool": "6906ee8ac9ec50e15a10dd177929569953a054165dd013176cac8b62aa107451",
+    "3d-two-base-modes": "e99568bc1ea12bbd17723246934f951f09c6d2ff43b2186089875b1fcda49505",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_GOLDEN))
+def test_generator_bytes_match_golden(tmp_path, name):
+    """Both saved corpora and the three truth arrays of generate_synthetic, hashed together."""
+    core, pool, truth = generate_synthetic(_spec_variants()[name])
+    digest = hashlib.sha256()
+    for label, corpus in (("core", core), ("pool", pool)):
+        save_embeddings(corpus, tmp_path / label)
+        digest.update((tmp_path / label).read_bytes())
+    for column in (truth.hidden_cluster_id, truth.is_novel, truth.is_outlier):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == GENERATOR_GOLDEN[name]

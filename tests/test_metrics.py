@@ -5,7 +5,7 @@ import pytest
 
 from samplerank.data import BinaryMask
 from samplerank.metrics import (
-    fit_iou_predictor,
+    IouPredictor,
     iou,
     load_predictor,
     predict_iou_batch,
@@ -86,51 +86,51 @@ class TestMaskIou:
 
 class TestPredictorFit:
     def test_stores_references(self):
-        p = fit_iou_predictor(np.arange(10.0)[:, None], np.linspace(0, 1, 10), k=3)
+        p = IouPredictor(np.arange(10.0)[:, None], np.linspace(0, 1, 10), k=3)
         assert p.points.shape == (10, 1) and p.k == 3
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="k=0"):
-            fit_iou_predictor(np.ones((10, 1)), np.ones(10), k=0)
+            IouPredictor(np.ones((10, 1)), np.ones(10), k=0)
 
     def test_k_beyond_reference_count_rejected(self):
         with pytest.raises(ValueError, match="k=11"):
-            fit_iou_predictor(np.ones((10, 1)), np.ones(10), k=11)
+            IouPredictor(np.ones((10, 1)), np.ones(10), k=11)
 
     def test_iou_range_checked(self):
         with pytest.raises(ValueError, match=r"\[0,1\]"):
-            fit_iou_predictor(np.ones((3, 1)), np.array([0.2, 1.2, 0.5]), k=1)
+            IouPredictor(np.ones((3, 1)), np.array([0.2, 1.2, 0.5]), k=1)
 
 
 class TestPrediction:
     def test_exact_match_returns_reference_value(self):
-        p = fit_iou_predictor(np.array([[0.0], [2.0], [5.0]]), np.array([0.3, 0.7, 0.9]), k=2)
+        p = IouPredictor(np.array([[0.0], [2.0], [5.0]]), np.array([0.3, 0.7, 0.9]), k=2)
         assert predict_iou_batch(p, np.array([[2.0]])).tolist() == [0.7]
 
     def test_equidistant_pair_averages(self):
-        p = fit_iou_predictor(np.array([[-1.0], [1.0]]), np.array([0.2, 0.8]), k=2)
+        p = IouPredictor(np.array([[-1.0], [1.0]]), np.array([0.2, 0.8]), k=2)
         assert predict_iou_batch(p, np.array([[0.0]]))[0] == pytest.approx(0.5)
 
     def test_inverse_distance_weighting_hand_value(self):
         # refs at x=0 (iou 1) and x=3 (iou 0), query x=1: weights 1 and 1/2
-        p = fit_iou_predictor(np.array([[0.0], [3.0]]), np.array([1.0, 0.0]), k=2)
+        p = IouPredictor(np.array([[0.0], [3.0]]), np.array([1.0, 0.0]), k=2)
         assert predict_iou_batch(p, np.array([[1.0]]))[0] == pytest.approx(2 / 3)
 
     def test_result_bounded_by_neighbour_extremes(self):
         rng = np.random.default_rng(44)
-        p = fit_iou_predictor(rng.normal(size=(50, 3)), rng.uniform(size=50), k=5)
+        p = IouPredictor(rng.normal(size=(50, 3)), rng.uniform(size=50), k=5)
         values = predict_iou_batch(p, rng.normal(size=(100, 3)))
         assert values.shape == (100,)
         assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_dimension_mismatch(self):
-        p = fit_iou_predictor(np.ones((4, 2)), np.full(4, 0.5), k=1)
+        p = IouPredictor(np.ones((4, 2)), np.full(4, 0.5), k=1)
         with pytest.raises(ValueError, match="dimension|shape"):
             predict_iou_batch(p, np.ones((1, 3)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(45)
-        p = fit_iou_predictor(rng.normal(size=(30, 4)), rng.uniform(size=30), k=5)
+        p = IouPredictor(rng.normal(size=(30, 4)), rng.uniform(size=30), k=5)
         queries = rng.normal(size=(25, 4))
         batch = predict_iou_batch(p, queries)
         single = np.array([_predict_one(p, q) for q in queries])
@@ -138,7 +138,7 @@ class TestPrediction:
 
     def test_batch_handles_exact_matches(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        p = fit_iou_predictor(pts, np.array([0.1, 0.9, 0.4]), k=2)
+        p = IouPredictor(pts, np.array([0.1, 0.9, 0.4]), k=2)
         out = predict_iou_batch(p, np.vstack([pts[1], [[0.5, 0.0]]]))
         assert out[0] == 0.9
         assert 0.1 < out[1] < 0.9
@@ -147,7 +147,7 @@ class TestPrediction:
 class TestPredictorPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(46)
-        p = fit_iou_predictor(rng.normal(size=(12, 3)), rng.uniform(size=12), k=4)
+        p = IouPredictor(rng.normal(size=(12, 3)), rng.uniform(size=12), k=4)
         save_predictor(p, tmp_path / "iou.bin")
         loaded = load_predictor(tmp_path / "iou.bin")
         assert loaded.k == 4

@@ -1,4 +1,4 @@
-"""Priority formulas, ranking, and budget selection."""
+"""Priority formulas, ranking, and the queue export."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from samplerank.scoring import (
     mps,
     rank,
     score_all,
-    select_budget,
     write_queue_csv,
 )
 
@@ -181,27 +180,6 @@ class TestRank:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             rank(_scores({}), "bps")
-
-
-class TestSelectBudget:
-    def test_full_list(self):
-        ranked = [5, 3, 1]
-        assert select_budget(ranked, 3) == ranked
-
-    def test_top_one(self):
-        assert select_budget([5, 3, 1], 1) == [5]
-
-    def test_prefixes_nest(self):
-        rng = np.random.default_rng(4)
-        ranked = rng.permutation(2200).tolist()
-        for n in (250, 251, 1000):
-            assert select_budget(ranked, n) == select_budget(ranked, n + 1)[:-1]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            select_budget([1, 2], 3)
-        with pytest.raises(ValueError, match="out of range"):
-            select_budget([1, 2], 0)
 
 
 class TestQueueCsv:
