@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,23 +175,21 @@ class OrphanReport:
     err_weight: np.ndarray   # (n_ft,) in [0,1]
 
 
-def _standardise_stats(reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = reduced.mean(axis=0)
-    scale = reduced.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    return mean, scale
-
-
-def _percentile_radii(
-    points: np.ndarray, centres: np.ndarray, labels: np.ndarray, k: int
-) -> np.ndarray:
-    radii = np.zeros(k)
+def _fit(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means over *points*: (centroids, member counts, 95th-percentile member distances)."""
+    centres, labels = kmeans(points, k, seed)
+    counts = np.bincount(labels, minlength=k)
     dists = np.sqrt(((points - centres[labels]) ** 2).sum(axis=1))
-    for j in range(k):
-        member = dists[labels == j]
-        if member.size:
-            radii[j] = np.percentile(member, 95)
-    return radii
+    radii = [np.percentile(dists[labels == j], 95) if counts[j] else 0.0 for j in range(k)]
+    return centres, counts, np.array(radii)
+
+
+def _holding(model: ClusterModel, points: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+    """Per point, the nearest of *clusters* whose 95th-percentile radius holds it, else -1."""
+    d = np.sqrt(sq_dist_matrix(points, model.centroids[clusters]))
+    inside = d <= model.p95_radius[clusters]
+    closest = np.where(inside, d, np.inf).argmin(axis=1)
+    return np.where(inside.any(axis=1), clusters[closest], -1)
 
 
 def fit_core_clusters(
@@ -210,27 +208,16 @@ def fit_core_clusters(
         raise ValueError("need one IoU per core sample")
     if iou_weight <= 0.0:
         raise ValueError("iou_weight must be positive")
-    n = core_reduced.shape[0]
     if k is None:
-        k = default_cluster_count(n)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
-
-    mean, scale = _standardise_stats(core_reduced)
-    augmented = np.hstack(
-        [(core_reduced - mean) / scale, (iou_weight * core_ious)[:, None]]
-    )
-    centres, labels = kmeans(augmented, k, seed)
-    counts = np.bincount(labels, minlength=k)
-    radii = _percentile_radii(augmented, centres, labels, k)
+        k = default_cluster_count(core_reduced.shape[0])
+    mean = core_reduced.mean(axis=0)
+    scale = core_reduced.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    augmented = np.hstack([(core_reduced - mean) / scale, (iou_weight * core_ious)[:, None]])
+    centres, counts, radii = _fit(augmented, k, seed)
     return ClusterModel(
-        centroids=centres,
-        iou_weight=iou_weight,
-        feature_mean=mean,
-        feature_scale=scale,
-        member_count=counts,
-        p95_radius=radii,
-        is_error=np.zeros(k, dtype=bool),
+        centroids=centres, iou_weight=iou_weight, feature_mean=mean, feature_scale=scale,
+        member_count=counts, p95_radius=radii, is_error=np.zeros(k, dtype=bool),
     )
 
 
@@ -275,15 +262,10 @@ def fit_error_clusters(
     if not 1 <= k_err <= m:
         raise ValueError(f"k_err={k_err} exceeds low-IoU subpopulation size {m}")
 
-    augmented = model.augment(core_reduced[low], core_ious[low])
-    centres, labels = kmeans(augmented, k_err, seed)
-    counts = np.bincount(labels, minlength=k_err)
-    radii = _percentile_radii(augmented, centres, labels, k_err)
-    return ClusterModel(
+    centres, counts, radii = _fit(model.augment(core_reduced[low], core_ious[low]), k_err, seed)
+    return replace(
+        model,
         centroids=np.vstack([model.centroids, centres]),
-        iou_weight=model.iou_weight,
-        feature_mean=model.feature_mean,
-        feature_scale=model.feature_scale,
         member_count=np.concatenate([model.member_count, counts]),
         p95_radius=np.concatenate([model.p95_radius, radii]),
         is_error=np.concatenate([model.is_error, np.ones(k_err, dtype=bool)]),
@@ -301,13 +283,10 @@ def error_membership(model: ClusterModel, ft_points: np.ndarray) -> np.ndarray:
     err = model.error_indices
     if err.size == 0:
         return weights
-    ious = ft_points[:, -1] / model.iou_weight
-    candidates = np.flatnonzero(ious < ERROR_IOU_THRESHOLD)
-    d = np.sqrt(sq_dist_matrix(ft_points[candidates], model.centroids[err]))
-    inside = d <= model.p95_radius[err][None, :]
-    closest = np.where(inside, d, np.inf).argmin(axis=1)
-    hit = inside.any(axis=1)
-    weights[candidates[hit]] = model.member_count[err[closest[hit]]] / model.member_count[err].max()
+    candidates = np.flatnonzero(ft_points[:, -1] / model.iou_weight < ERROR_IOU_THRESHOLD)
+    held = _holding(model, ft_points[candidates], err)
+    hit = held >= 0
+    weights[candidates[hit]] = model.member_count[held[hit]] / model.member_count[err].max()
     return weights
 
 
@@ -336,9 +315,7 @@ def detect_orphans(
         raise ValueError(f"k_ft={k_ft} out of range [1, {n}]")
 
     centres, labels = kmeans(ft_points, k_ft, seed)
-    core = model.core_indices
-    gap = np.sqrt(sq_dist_matrix(centres, model.centroids[core]))
-    orphaned = (gap > model.p95_radius[core][None, :]).all(axis=1)
+    orphaned = _holding(model, centres, model.core_indices) < 0
 
     sizes = np.bincount(labels, minlength=k_ft)
     biggest = sizes[orphaned].max(initial=1)

@@ -108,7 +108,7 @@ class Config:
         )
 
 
-def _key(field_name: str) -> str:
+def config_key(field_name: str) -> str:
     """Config-file key of a field: ``pca_fit`` -> ``pca.fit``, ``bps_a`` -> ``coeff.bps_a``."""
     section, _, rest = field_name.partition("_")
     if section in ("pca", "knn", "cluster", "loop", "sim"):
@@ -119,7 +119,7 @@ def _key(field_name: str) -> str:
 
 
 # config-file key <-> Config field
-_KEYS: dict[str, str] = {_key(f.name): f.name for f in fields(Config)}
+_KEYS: dict[str, str] = {config_key(f.name): f.name for f in fields(Config)}
 _KEY_OF = {field_name: key for key, field_name in _KEYS.items()}
 
 

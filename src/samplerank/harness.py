@@ -52,38 +52,31 @@ def surrogate_quality(labeled_ids, ft_corpus: Corpus, truth: GroundTruth) -> flo
         labeled_pos = np.array([position[i] for i in labeled])
     except KeyError as exc:
         raise ValueError(f"selected id {exc.args[0]} is not in the fine-tuning pool") from None
-    tracker = _CoverageTracker(ft_corpus.vectors(), truth)
-    tracker.add(labeled_pos)
-    return tracker.quality()
+    return _coverage(ft_corpus.vectors(), truth, labeled_pos, [labeled_pos.size])[0]
 
 
-class _CoverageTracker:
-    """Incremental 1-NN coverage along a growing selection.
+def _coverage(vectors: np.ndarray, truth: GroundTruth, order: np.ndarray, budgets) -> list[float]:
+    """Coverage quality of each nested prefix ``order[:budget]``, budgets ascending.
 
     Adding points in selection order and updating on strictly smaller
     distance gives every prefix the same nearest selected sample as one
     pass over the whole prefix (argmin keeps the earliest of tied
     neighbours).
     """
-
-    def __init__(self, vectors: np.ndarray, truth: GroundTruth):
-        self._x = vectors
-        self._hidden = truth.hidden_cluster_id
-        self._evaluated = ~truth.is_outlier
-        self._best_d2 = np.full(vectors.shape[0], np.inf)
-        self._best_hidden = np.full(vectors.shape[0], np.iinfo(np.int64).min, dtype=np.int64)
-
-    def add(self, positions: np.ndarray) -> None:
-        if positions.size == 0:
-            return
-        chunk_best, chunk_d2 = map(np.ravel, nearest(self._x, self._x[positions]))
-        better = chunk_d2 < self._best_d2
-        self._best_d2[better] = chunk_d2[better]
-        self._best_hidden[better] = self._hidden[positions[chunk_best[better]]]
-
-    def quality(self) -> float:
-        matches = self._best_hidden == self._hidden
-        return float(matches[self._evaluated].mean())
+    hidden, evaluated = truth.hidden_cluster_id, ~truth.is_outlier
+    best_d2 = np.full(vectors.shape[0], np.inf)
+    best_hidden = np.full(vectors.shape[0], np.iinfo(np.int64).min, dtype=np.int64)
+    qualities, consumed = [], 0
+    for budget in budgets:
+        step, consumed = order[consumed:budget], budget
+        if step.size:
+            chunk_best, chunk_d2 = map(np.ravel, nearest(vectors, vectors[step]))
+            better = chunk_d2 < best_d2
+            best_d2[better] = chunk_d2[better]
+            best_hidden[better] = hidden[step[chunk_best[better]]]
+            del chunk_best, chunk_d2, better  # held into the next search, they would raise its peak
+        qualities.append(float((best_hidden == hidden)[evaluated].mean()))
+    return qualities
 
 
 @dataclass(frozen=True)
@@ -156,15 +149,8 @@ def run_budget_sweep(
 
         vectors = finetune.vectors()
         for strategy in strategies:
-            trajectory = trajectories[strategy]
-            tracker = _CoverageTracker(vectors, truth)
-            consumed = 0
-            for budget in budgets:
-                tracker.add(trajectory[consumed:budget])
-                consumed = budget
-                rows.append(
-                    SweepRow(strategy=strategy, budget=budget, seed=seed, quality=tracker.quality())
-                )
+            qualities = _coverage(vectors, truth, trajectories[strategy], budgets)
+            rows += [SweepRow(strategy, budget, seed, q) for budget, q in zip(budgets, qualities)]
     return SweepResult(rows=tuple(rows))
 
 
@@ -177,7 +163,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Rows written by ``write_sweep_csv``; a malformed row raises ValueError naming the file and record."""
+    """Rows written by ``write_sweep_csv``; a bad row or a missing budget raises ValueError naming the file."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header, *table = list(reader) or [None]
@@ -198,7 +184,12 @@ def read_sweep_csv(path) -> SweepResult:
             rows.append(row)
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from None
-    return SweepResult(rows=tuple(rows))
+    result = SweepResult(rows=tuple(rows))
+    present = {(row.strategy, row.budget) for row in rows}
+    for strategy, budget in ((s, b) for s in result.strategies() for b in result.budgets()):
+        if (strategy, budget) not in present:
+            raise ValueError(f"{path}: strategy {strategy} has no record at budget {budget}")
+    return result
 
 
 def export_scatter(ids, xy: np.ndarray, ious, splits, path) -> None:
@@ -213,24 +204,32 @@ def export_scatter(ids, xy: np.ndarray, ious, splits, path) -> None:
             writer.writerow([rec_id, f"{point[0]:.9g}", f"{point[1]:.9g}", f"{iou_value:.9g}", split])
 
 
-def summarize(result: SweepResult) -> str:
-    """Per-budget mean-quality table plus the priority-vs-random verdict."""
+def _table(result: SweepResult) -> tuple[list[str], bool, list[tuple]]:
+    """Strategies, whether bps and random both ran, and per budget (budget, [(mean, std)], bps - random)."""
     if not result.rows:
         raise ValueError("empty sweep result")
     strategies = result.strategies()
     paired = STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies
-    lines = []
-    header = ["budget"] + [f"{s}(mean+-std)" for s in strategies]
-    if paired:
-        header.append("bps-random")
-    lines.append("  ".join(f"{h:>24}" for h in header))
-    last_winning = None
+    table = []
     for budget in result.budgets():
-        cells = [f"{budget:>24}"]
-        for s in strategies:
-            cells.append(f"{result.mean(s, budget):>16.4f} +- {result.stddev(s, budget):.4f}")
+        means = {s: result.mean(s, budget) for s in strategies}
+        diff = means[STRATEGY_PRIORITY_BPS] - means[STRATEGY_RANDOM] if paired else None
+        table.append((budget, [(means[s], result.stddev(s, budget)) for s in strategies], diff))
+    return strategies, paired, table
+
+
+def summarize(result: SweepResult) -> str:
+    """Per-budget mean-quality table plus the priority-vs-random verdict."""
+    return _summary(*_table(result))
+
+
+def _summary(strategies: list[str], paired: bool, table: list[tuple]) -> str:
+    header = ["budget"] + [f"{s}(mean+-std)" for s in strategies] + (["bps-random"] if paired else [])
+    lines = ["  ".join(f"{h:>24}" for h in header)]
+    last_winning = None
+    for budget, stats, diff in table:
+        cells = [f"{budget:>24}"] + [f"{mean:>16.4f} +- {std:.4f}" for mean, std in stats]
         if paired:
-            diff = result.mean(STRATEGY_PRIORITY_BPS, budget) - result.mean(STRATEGY_RANDOM, budget)
             cells.append(f"{diff:>+24.4f}")
             if diff >= 0:
                 last_winning = budget
@@ -245,25 +244,15 @@ def summarize(result: SweepResult) -> str:
 
 def report(result: SweepResult, summary_path, aggregates_path=None) -> None:
     """Write the plain-text summary and, optionally, the aggregate CSV."""
-    text = summarize(result)
+    strategies, paired, table = _table(result)
     with open(summary_path, "w") as fh:
-        fh.write(text)
-    if aggregates_path is not None:
-        strategies = result.strategies()
-        paired = STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies
-        with open(aggregates_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            columns = ["budget"]
-            for s in strategies:
-                columns += [f"mean_{s}", f"std_{s}"]
-            if paired:
-                columns.append("diff_bps_minus_random")
-            writer.writerow(columns)
-            for budget in result.budgets():
-                row: list = [budget]
-                for s in strategies:
-                    row += [f"{result.mean(s, budget):.9g}", f"{result.stddev(s, budget):.9g}"]
-                if paired:
-                    diff = result.mean(STRATEGY_PRIORITY_BPS, budget) - result.mean(STRATEGY_RANDOM, budget)
-                    row.append(f"{diff:.9g}")
-                writer.writerow(row)
+        fh.write(_summary(strategies, paired, table))
+    if aggregates_path is None:
+        return
+    with open(aggregates_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        columns = [name for s in strategies for name in (f"mean_{s}", f"std_{s}")]
+        writer.writerow(["budget", *columns] + (["diff_bps_minus_random"] if paired else []))
+        for budget, stats, diff in table:
+            cells = [f"{value:.9g}" for pair in stats for value in pair]
+            writer.writerow([budget, *cells] + ([f"{diff:.9g}"] if paired else []))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clustering, loop, metrics, pca
-from .config import PCA_FIT_POOLED, Config
+from .config import PCA_FIT_POOLED, Config, config_key
 from .data import Corpus
 from .scoring import Scores, score_all
 
@@ -30,6 +30,14 @@ def _subseeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
+def _count(params: Config, name: str, bound: int, of: str) -> int | None:
+    """Count setting *name*, None for 0 (the stage's rule); above a positive *bound* it names its key."""
+    value = getattr(params, name)
+    if 0 < bound < value:
+        raise ValueError(f"{config_key(name)} = {value} exceeds {bound}, the {of}")
+    return value or None
+
+
 def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(), seed: int = 0) -> FittedModels:
     """Fit reduction + IoU predictor + clusters (core and error) on the reference corpus.
 
@@ -42,27 +50,21 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     if params.pca_fit == PCA_FIT_POOLED and finetune is not None:
         fit_matrix = np.vstack([fit_matrix, finetune.vectors()])
     core_vectors = fit_matrix[: len(core)]  # a view: one float64 copy of the core rows
-    reduction = pca.fit_pca(
-        fit_matrix,
-        r=params.pca_components or None,
-        variance_threshold=params.pca_variance_threshold,
-    )
+    r = _count(params, "pca_components", min(fit_matrix.shape), "smaller of the fit's vector count and dimension")
+    reduction = pca.fit_pca(fit_matrix, r=r, variance_threshold=params.pca_variance_threshold)
 
     core_reduced = pca.transform_batch(reduction, core_vectors)
     core_ious = core.measured_ious()
     predictor = metrics.IouPredictor(core_reduced, core_ious, k=min(params.knn_k, len(core)))
 
     seed_core, seed_err = _subseeds(seed, 2)
+    k = _count(params, "cluster_k", len(core), "reference sample count")
     clusters = clustering.fit_core_clusters(
-        core_reduced,
-        core_ious,
-        k=params.cluster_k or None,
-        iou_weight=params.cluster_iou_weight,
-        seed=seed_core,
+        core_reduced, core_ious, k=k, iou_weight=params.cluster_iou_weight, seed=seed_core
     )
-    clusters = clustering.fit_error_clusters(
-        clusters, core_reduced, core_ious, k_err=params.cluster_k_err or None, seed=seed_err
-    )
+    low = int((core_ious < clustering.ERROR_IOU_THRESHOLD).sum())
+    k_err = _count(params, "cluster_k_err", low, "count of references below the error IoU threshold")
+    clusters = clustering.fit_error_clusters(clusters, core_reduced, core_ious, k_err=k_err, seed=seed_err)
     return FittedModels(reduction=reduction, predictor=predictor, clusters=clusters)
 
 
@@ -79,9 +81,8 @@ def score_finetune(
 
     ft_points = models.clusters.augment(ft_reduced, pred_ious)
     (seed_ft,) = _subseeds(seed, 3)[2:]
-    report = clustering.detect_orphans(
-        models.clusters, ft_points, k_ft=params.cluster_k_ft or None, seed=seed_ft
-    )
+    k_ft = _count(params, "cluster_k_ft", len(finetune), "fine-tuning sample count")
+    report = clustering.detect_orphans(models.clusters, ft_points, k_ft=k_ft, seed=seed_ft)
 
     # outlier probabilities over the pool itself; optionally the reference
     # points join the density estimate

@@ -125,6 +125,27 @@ class TestFitAndRank:
         assert not (tmp_path / "auto" / "queue.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "key, value, command, bound",
+        [
+            ("cluster.k", 500, "fit", 250),
+            ("pca.components", 50, "fit", 8),
+            ("cluster.k_err", 500, "fit", 18),  # 18 references lie below 0.5 IoU
+            ("cluster.k_ft", 5000, "rank", 300),
+        ],
+    )
+    def test_count_setting_above_the_data_exits_2_naming_key(
+        self, embedding_files, tmp_path, capsys, key, value, command, bound
+    ):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        cfg = tmp_path / "counts.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        files = {"fit": ["--core", str(core)], "rank": ["--finetune", str(ft)]}[command]
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path), command, *files]) == 2
+        assert f"samplerank: error: {key} = {value} exceeds {bound}, the " in capsys.readouterr().err
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("name,header_size", [
         ("pca.bin", 12), ("clusters.bin", 12), ("iou_refs.bin", 16),
@@ -278,6 +299,14 @@ class TestScatterAndReport:
         assert sweep.read_bytes()[:2] == b"\xff\xfe"
         assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
         assert f"{sweep}: line 1: not UTF-8 text" in capsys.readouterr().err
+
+    def test_sweep_missing_a_budget_exits_2_naming_strategy_and_budget(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        rows = ["priority_bps,100,1,0.5", "priority_bps,200,1,0.6", "random,100,1,0.4"]
+        sweep.write_text("strategy,budget,seed,quality\n" + "\n".join(rows) + "\n")
+        assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
+        assert f"{sweep}: strategy random has no record at budget 200" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
 
     def test_header_only_sweep_exits_2_naming_it(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"

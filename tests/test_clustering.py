@@ -348,6 +348,43 @@ class TestOrphans:
         assert report.err_weight[1] == 0.0   # high IoU
         assert report.err_weight[3] == 0.0   # low IoU but far away
 
+    @pytest.mark.parametrize("x, orphaned", [(2.0, False), (np.nextafter(2.0, np.inf), True)])
+    def test_centroid_at_a_core_radius_is_held_and_just_past_it_is_orphaned(self, x, orphaned):
+        model = ClusterModel(
+            centroids=np.array([[0.0, 0.8], [9.0, 0.8]]),
+            iou_weight=1.0,
+            feature_mean=np.zeros(1),
+            feature_scale=np.ones(1),
+            member_count=np.array([10, 10]),
+            p95_radius=np.array([2.0, 1.0]),
+            is_error=np.array([False, False]),
+        )
+        report = detect_orphans(model, np.array([[x, 0.8]]), k_ft=1, seed=0)
+        assert report.orphan_clusters == ((1,) if orphaned else ())
+        assert report.orph_weight.tolist() == [float(orphaned)]
+
+    def test_flags_match_per_centroid_radius_reference(self):
+        rng = np.random.default_rng(26)
+        reduced = _blobs(rng, [(0, 0), (10, 10), (0, 10)], 50)
+        ious = np.concatenate([rng.uniform(0.1, 0.4, 50), rng.uniform(0.6, 0.9, 100)])
+        model = fit_core_clusters(reduced, ious, k=3, seed=27)
+        model = fit_error_clusters(model, reduced, ious, k_err=2, seed=28)
+        far = _blobs(rng, [(30, -20), (-25, 30)], 20, stddev=1.0)
+        ft = model.augment(np.vstack([reduced[::2], far]), np.full(115, 0.7))
+        report = detect_orphans(model, ft, k_ft=8, seed=29)
+
+        centres, labels = kmeans(ft, 8, seed=29)
+        core = model.core_indices
+        flags = np.array([
+            all(np.sqrt(((c - model.centroids[j]) ** 2).sum()) > model.p95_radius[j] for j in core)
+            for c in centres
+        ])
+        sizes = np.bincount(labels, minlength=8)
+        assert 0 < flags.sum() < 8
+        assert report.orphan_clusters == tuple(sizes[flags].tolist())
+        expected = np.where(flags[labels], sizes[labels] / sizes[flags].max(), 0.0)
+        assert report.orph_weight.tolist() == expected.tolist()
+
     def test_determinism(self):
         rng = np.random.default_rng(17)
         model, reduced, ious = self._core_model(rng)

@@ -13,7 +13,7 @@ from samplerank.harness import (
     STRATEGY_RANDOM,
     SweepResult,
     SweepRow,
-    _CoverageTracker,
+    _coverage,
     export_scatter,
     read_sweep_csv,
     report,
@@ -106,13 +106,10 @@ class TestCoverageTracker:
         _core, pool, truth = generate_synthetic(spec)
         rng = np.random.default_rng(6)
         order = rng.permutation(len(pool))
-        tracker = _CoverageTracker(pool.vectors(), truth)
-        consumed = 0
-        for budget in (10, 37, 90, 200):
-            tracker.add(order[consumed:budget])
-            consumed = budget
+        budgets = (10, 37, 90, 200)
+        for budget, walked in zip(budgets, _coverage(pool.vectors(), truth, order, budgets)):
             direct = surrogate_quality([pool.ids[i] for i in order[:budget]], pool, truth)
-            assert tracker.quality() == direct == _direct_coverage(pool.vectors(), order[:budget], truth)
+            assert walked == direct == _direct_coverage(pool.vectors(), order[:budget], truth)
 
 
 @pytest.fixture(scope="module")
