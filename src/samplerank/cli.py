@@ -207,6 +207,7 @@ def cmd_report(config: Config, args) -> int:
     result = harness.read_sweep_csv(path)
     if not result.rows:
         raise DataFormatError(f"{path}: no records")
+    os.makedirs(config.out_dir, exist_ok=True)
     harness.report(
         result,
         summary_path=os.path.join(config.out_dir, "summary.txt"),

@@ -22,17 +22,19 @@ nearest-centroid ties resolved toward the lowest cluster index.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._dist import nearest, sq_dist_matrix
-from .data import read_f32, read_model_file, read_only
+from .data import read_model_file, read_only, write_model_file
 
 ERROR_IOU_THRESHOLD = 0.5
 
-_CLU_MAGIC = b"CLU1"
+# header: cluster count k, reduced dimension r; payload: IoU weight, feature mean and scale, centroids,
+# p95 radii, member counts, error flags
+_CLU_LAYOUT = b"CLU1", "<II", lambda k, r: [
+    ("<f4", ()), ("<f4", (r,)), ("<f4", (r,)), ("<f4", (k, r + 1)), ("<f4", (k,)), ("<u4", (k,)), ("?", (k,))]
 
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-4
@@ -327,35 +329,12 @@ def detect_orphans(
 
 
 def save_clusters(model: ClusterModel, path) -> None:
-    k = model.centroids.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_CLU_MAGIC)
-        fh.write(struct.pack("<II", k, model.reduced_dim))
-        fh.write(np.float32(model.iou_weight).tobytes())
-        fh.write(model.feature_mean.astype("<f4").tobytes())
-        fh.write(model.feature_scale.astype("<f4").tobytes())
-        fh.write(model.centroids.astype("<f4").tobytes())
-        fh.write(model.p95_radius.astype("<f4").tobytes())
-        fh.write(model.member_count.astype("<u4").tobytes())
-        fh.write(model.is_error.astype("<u1").tobytes())
+    arrays = [model.iou_weight, model.feature_mean, model.feature_scale, model.centroids,
+              model.p95_radius, model.member_count, model.is_error]
+    write_model_file(path, _CLU_LAYOUT, (model.centroids.shape[0], model.reduced_dim), arrays)
 
 
 def load_clusters(path) -> ClusterModel:
-    with read_model_file(
-        path, _CLU_MAGIC, "a cluster model", "<II",
-        lambda k, r: 12 + 4 * (1 + 2 * r + k * (r + 1) + 2 * k) + k,
-    ) as (blob, (k, r)):
-        centroids_end = 1 + 2 * r + k * (r + 1)
-        floats = read_f32(blob, 12, centroids_end + k)
-        off = 12 + 4 * floats.size
-        counts = np.frombuffer(blob, dtype="<u4", count=k, offset=off).astype(np.int64)
-        flags = np.frombuffer(blob, dtype="<u1", count=k, offset=off + 4 * k).astype(bool)
-        return ClusterModel(
-            centroids=floats[1 + 2 * r : centroids_end].reshape(k, r + 1),
-            iou_weight=float(floats[0]),
-            feature_mean=floats[1 : 1 + r],
-            feature_scale=floats[1 + r : 1 + 2 * r],
-            member_count=counts,
-            p95_radius=floats[centroids_end:],
-            is_error=flags,
-        )
+    with read_model_file(path, "a cluster model", _CLU_LAYOUT) as (_, arrays):
+        iou_weight, mean, scale, centroids, radii, counts, flags = arrays
+        return ClusterModel(centroids, float(iou_weight), mean, scale, counts, radii, flags)

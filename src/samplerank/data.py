@@ -146,39 +146,53 @@ class Corpus:
         return np.asarray(values, dtype=np.float64)
 
 
-@contextmanager
-def read_model_file(path, magic: bytes, kind: str, header: str, file_size):
-    """Read a whole model file; yields ``(blob, header_values)`` to the block that builds the model.
+def write_model_file(path, layout, counts, arrays) -> None:
+    """Write the header *counts* and the payload *arrays* in *layout*, as ``read_model_file`` reads them."""
+    magic, header, payload = layout
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(header, *counts))
+        for (dtype, shape), array in zip(payload(*counts), arrays, strict=True):
+            fh.write(np.asarray(array).astype(dtype).reshape(shape).tobytes())
 
-    *kind* completes the message "not <kind> file" for a wrong magic;
-    ``file_size(*header_values)`` gives the exact size the file must have.
-    A ValueError raised in the block (a non-finite value, a broken model
-    invariant) leaves it as a DataFormatError naming the file.
+
+@contextmanager
+def read_model_file(path, kind: str, layout):
+    """Read a whole model file; yields ``(counts, arrays)`` to the block that builds the model.
+
+    *layout* is ``(magic, header, payload)``: the file holds the 4-byte magic, the counts packed by
+    the ``struct`` format *header*, then back to back, with nothing after, the arrays that
+    ``payload(*counts)`` lists in file order as ``(dtype, shape)`` pairs; shape ``()`` is a scalar,
+    dtype ``"?"`` a 0/1 flag byte. Floats come back as float64; a NaN or inf, or a flag other than 0
+    or 1, raises naming its byte offset. *kind* ends the wrong-magic message "not <kind> file". A
+    ValueError raised in the block (a broken model invariant) leaves as a DataFormatError naming the file.
     """
+    magic, header, payload = layout
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != magic:
         raise DataFormatError(f"{path}: not {kind} file")
-    size = 4 + struct.calcsize(header)
-    if len(blob) < size:
-        raise DataFormatError(f"{path}: truncated header, {len(blob)} of {size} bytes")
-    values = struct.unpack_from(header, blob, 4)
-    expected = file_size(*values)
+    offset = 4 + struct.calcsize(header)
+    if len(blob) < offset:
+        raise DataFormatError(f"{path}: truncated header, {len(blob)} of {offset} bytes")
+    counts = struct.unpack_from(header, blob, 4)
+    fields = [(np.dtype(dtype), shape, math.prod(shape)) for dtype, shape in payload(*counts)]
+    expected = offset + sum(dtype.itemsize * size for dtype, _, size in fields)
     if len(blob) != expected:
         raise DataFormatError(f"{path}: size mismatch, expected {expected} bytes, got {len(blob)}")
+    arrays = []
+    for dtype, shape, size in fields:
+        raw = np.frombuffer(blob, dtype, size, offset)
+        if dtype.kind in "fb":
+            bad = np.flatnonzero(~np.isfinite(raw) if dtype.kind == "f" else raw.view(np.uint8) > 1)
+            if bad.size:
+                what = "non-finite value" if dtype.kind == "f" else "flag other than 0 or 1"
+                raise DataFormatError(f"{path}: {what} at byte {offset + dtype.itemsize * int(bad[0])}")
+        arrays.append((raw.astype(np.float64) if dtype.kind == "f" else raw).reshape(shape))
+        offset += dtype.itemsize * size
     try:
-        yield blob, values
+        yield counts, arrays
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-
-
-def read_f32(blob: bytes, offset: int, count: int) -> np.ndarray:
-    """*count* little-endian f32 values at byte *offset*, as float64; NaN or inf raises ValueError."""
-    values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"non-finite value at byte {offset + 4 * int(bad[0])}")
-    return values
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:

@@ -163,7 +163,8 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Rows written by ``write_sweep_csv``; a bad row or a missing budget raises ValueError naming the file."""
+    """Rows written by ``write_sweep_csv``; raises ValueError naming the file on a bad or repeated row, and
+    on a strategy that lacks a (budget, seed) another strategy ran, so every mean compares the same seeds."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header, *table = list(reader) or [None]
@@ -171,7 +172,7 @@ def read_sweep_csv(path) -> SweepResult:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if header != ["strategy", "budget", "seed", "quality"]:
         raise ValueError(f"{path}: malformed sweep header {header!r}")
-    rows = []
+    rows, present = [], set()
     for index, r in enumerate(table):
         try:
             if len(r) != 4:
@@ -181,14 +182,21 @@ def read_sweep_csv(path) -> SweepResult:
                 raise ValueError(f"budget {row.budget} is not positive")
             if not 0.0 <= row.quality <= 1.0:
                 raise ValueError(f"quality {row.quality} outside [0,1]")
+            key = (row.strategy, row.budget, row.seed)
+            if key in present:
+                raise ValueError("second record for strategy {} at budget {}, seed {}".format(*key))
+            present.add(key)
             rows.append(row)
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from None
     result = SweepResult(rows=tuple(rows))
-    present = {(row.strategy, row.budget) for row in rows}
+    seeds: dict[int, set[int]] = {}  # budget -> every seed any strategy ran at it
+    for row in rows:
+        seeds.setdefault(row.budget, set()).add(row.seed)
     for strategy, budget in ((s, b) for s in result.strategies() for b in result.budgets()):
-        if (strategy, budget) not in present:
-            raise ValueError(f"{path}: strategy {strategy} has no record at budget {budget}")
+        for seed in sorted(seeds[budget]):
+            if (strategy, budget, seed) not in present:
+                raise ValueError(f"{path}: strategy {strategy} has no record at budget {budget}, seed {seed}")
     return result
 
 

@@ -8,17 +8,17 @@ spanned by the neighbours' IoU values.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._dist import nearest
-from .data import BinaryMask, read_f32, read_model_file, read_only
+from .data import BinaryMask, read_model_file, read_only, write_model_file
 
 DEFAULT_KNN_K = 5
 
-_IOP_MAGIC = b"IOP1"
+# header: reference count n, reduced dimension r, k; payload: reference points, their IoUs
+_IOP_LAYOUT = b"IOP1", "<III", lambda n, r, k: [("<f4", (n, r)), ("<f4", (n,))]
 
 
 def iou(a: BinaryMask, b: BinaryMask) -> float:
@@ -82,19 +82,11 @@ def predict_iou_batch(predictor: IouPredictor, x: np.ndarray) -> np.ndarray:
 
 
 def save_predictor(predictor: IouPredictor, path) -> None:
-    n, r = predictor.points.shape
-    with open(path, "wb") as fh:
-        fh.write(_IOP_MAGIC)
-        fh.write(struct.pack("<III", n, r, predictor.k))
-        fh.write(predictor.points.astype("<f4").tobytes())
-        fh.write(predictor.ious.astype("<f4").tobytes())
+    counts = (*predictor.points.shape, predictor.k)
+    write_model_file(path, _IOP_LAYOUT, counts, [predictor.points, predictor.ious])
 
 
 def load_predictor(path) -> IouPredictor:
-    with read_model_file(
-        path, _IOP_MAGIC, "an IoU predictor", "<III", lambda n, r, k: 16 + 4 * (n * r + n)
-    ) as (blob, (n, r, k)):
-        points = read_f32(blob, 16, n * r).reshape(n, r)
-        ious = read_f32(blob, 16 + 4 * n * r, n)
+    with read_model_file(path, "an IoU predictor", _IOP_LAYOUT) as ((_, _, k), (points, ious)):
         # float32 storage may nudge values a hair past the bounds
         return IouPredictor(points=points, ious=np.clip(ious, 0.0, 1.0), k=k)

@@ -12,14 +12,14 @@ identical model.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_f32, read_model_file, read_only
+from .data import read_model_file, read_only, write_model_file
 
-_PCA_MAGIC = b"PCA1"
+# header: dimension d, component count r; payload: total variance, mean, components, eigenvalues
+_PCA_LAYOUT = b"PCA1", "<II", lambda d, r: [("<f4", ()), ("<f4", (d,)), ("<f4", (r, d)), ("<f4", (r,))]
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
 DEFAULT_COMPONENT_CAP = 32
@@ -44,6 +44,8 @@ class PcaModel:
         eig = np.asarray(self.eigenvalues, dtype=np.float64)
         if comp.ndim != 2 or mean.ndim != 1 or comp.shape[1] != mean.size:
             raise ValueError("components must be (R, D) with D matching mean")
+        if comp.shape[0] < 1:
+            raise ValueError("need at least one component")
         if eig.shape != (comp.shape[0],):
             raise ValueError("eigenvalues must have one entry per component")
         if np.any(eig < -1e-12) or np.any(np.diff(eig) > 1e-12):
@@ -134,23 +136,10 @@ def explained_variance_ratio(model: PcaModel) -> np.ndarray:
 
 
 def save_pca(model: PcaModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_PCA_MAGIC)
-        fh.write(struct.pack("<II", model.dimension, model.n_components))
-        fh.write(np.float32(model.total_variance).tobytes())
-        fh.write(model.mean.astype("<f4").tobytes())
-        fh.write(model.components.astype("<f4").tobytes())
-        fh.write(model.eigenvalues.astype("<f4").tobytes())
+    arrays = [model.total_variance, model.mean, model.components, model.eigenvalues]
+    write_model_file(path, _PCA_LAYOUT, (model.dimension, model.n_components), arrays)
 
 
 def load_pca(path) -> PcaModel:
-    with read_model_file(
-        path, _PCA_MAGIC, "a PCA model", "<II", lambda d, r: 12 + 4 * (1 + d + r * d + r)
-    ) as (blob, (d, r)):
-        floats = read_f32(blob, 12, 1 + d + r * d + r)
-        return PcaModel(
-            mean=floats[1 : 1 + d],
-            components=floats[1 + d : 1 + d + r * d].reshape(r, d),
-            eigenvalues=np.maximum(floats[1 + d + r * d :], 0.0),
-            total_variance=float(floats[0]),
-        )
+    with read_model_file(path, "a PCA model", _PCA_LAYOUT) as (_, (total, mean, components, eigenvalues)):
+        return PcaModel(mean, components, np.maximum(eigenvalues, 0.0), float(total))

@@ -1,5 +1,7 @@
 """Command-line workflows: fit, rank, simulate, scatter, report."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -162,19 +164,43 @@ class TestInputErrors:
             assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2, size
             assert name in capsys.readouterr().err, size
 
-    @pytest.mark.parametrize("name,header_size", [
-        ("pca.bin", 12), ("clusters.bin", 12), ("iou_refs.bin", 16),
-    ])
-    def test_nan_in_model_payload_exits_2_naming_it(
-        self, embedding_files, tmp_path, capsys, name, header_size
-    ):
+    # the second float of each file (after a 12- or 16-byte header), then its last float field:
+    # the last eigenvalue, p95 radius (5 bytes per cluster before the end) and IoU
+    @pytest.mark.parametrize("name,byte", [
+        ("pca.bin", 16), ("clusters.bin", 16), ("iou_refs.bin", 20),
+        ("pca.bin", 296), ("clusters.bin", 572), ("iou_refs.bin", 8012),
+    ], ids=["pca.bin-12", "clusters.bin-12", "iou_refs.bin-16", "pca.bin-last", "clusters.bin-last",
+            "iou_refs.bin-last"])
+    def test_nan_in_model_payload_exits_2_naming_it(self, embedding_files, tmp_path, capsys, name, byte):
         core, ft = embedding_files
         assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
         blob = bytearray((tmp_path / name).read_bytes())
-        blob[header_size + 4 : header_size + 8] = np.float32(np.nan).tobytes()
+        blob[byte : byte + 4] = np.float32(np.nan).tobytes()
         (tmp_path / name).write_bytes(bytes(blob))
         assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
-        assert f"{name}: non-finite value at byte {header_size + 4}" in capsys.readouterr().err
+        assert f"{name}: non-finite value at byte {byte}" in capsys.readouterr().err
+
+    def test_error_flag_other_than_0_or_1_exits_2_naming_it(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        path = tmp_path / "clusters.bin"
+        blob = bytearray(path.read_bytes())
+        first_flag = len(blob) - load_clusters(path).centroids.shape[0]
+        blob[first_flag] = 7
+        path.write_bytes(bytes(blob))
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
+        assert f"clusters.bin: flag other than 0 or 1 at byte {first_flag}" in capsys.readouterr().err
+        assert not (tmp_path / "queue.csv").exists()
+
+    def test_pca_model_without_components_exits_2_naming_it(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        path = tmp_path / "pca.bin"
+        d = load_pca(path).dimension
+        blob = path.read_bytes()  # keep the total variance and the mean; r = 0 leaves nothing after them
+        path.write_bytes(blob[:4] + struct.pack("<II", d, 0) + blob[12 : 12 + 4 * (1 + d)])
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
+        assert "pca.bin: need at least one component" in capsys.readouterr().err
 
     def test_core_split_pool_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
@@ -272,6 +298,13 @@ class TestScatterAndReport:
     def test_report_missing_sweep_exits_2(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "report"]) == 2
 
+    def test_report_creates_its_output_directory(self, tmp_path):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("strategy,budget,seed,quality\npriority_bps,100,1,0.9\nrandom,100,1,0.5\n")
+        out = tmp_path / "new" / "dir"
+        assert main(["--out-dir", str(out), "report", "--sweep", str(sweep)]) == 0
+        assert "largest budget with priority_bps >= random: 100" in (out / "summary.txt").read_text()
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -306,6 +339,23 @@ class TestScatterAndReport:
         sweep.write_text("strategy,budget,seed,quality\n" + "\n".join(rows) + "\n")
         assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
         assert f"{sweep}: strategy random has no record at budget 200" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["priority_bps,100,1,0.9", "random,100,1,0.5", "random,100,2,0.1", "random,100,2,0.1"],
+         "record 3: second record for strategy random at budget 100, seed 2"),
+        (["priority_bps,100,1,0.9", "random,100,1,0.5", "random,100,2,0.1"],
+         "strategy priority_bps has no record at budget 100, seed 2"),
+        (["priority_bps,100,1,0.9", "priority_bps,200,2,0.9", "random,100,1,0.5", "random,200,3,0.1"],
+         "strategy priority_bps has no record at budget 200, seed 3"),
+    ], ids=["repeated_row", "unpaired_seed", "seed_sets_differ_per_budget"])
+    def test_unpaired_sweep_exits_2_naming_strategy_budget_and_seed(
+        self, tmp_path, capsys, rows, message
+    ):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("strategy,budget,seed,quality\n" + "\n".join(rows) + "\n")
+        assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
+        assert f"{sweep}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "summary.txt").exists()
 
     def test_header_only_sweep_exits_2_naming_it(self, tmp_path, capsys):
