@@ -5,11 +5,13 @@ trick: identical points must give exactly zero (the IoU predictor's
 zero-distance rule and the coverage oracle's self-matching rely on it), and
 every caller must see the same bits for the same pair of points. The kernel
 never forms the (len(a), len(b), d) difference block: it squares one
-(len(a), len(b)) buffer per coordinate and adds the buffers in the order
-numpy's ``pairwise_sum`` adds the d terms of each row of
-``((a[:, None] - b[None]) ** 2).sum(axis=2)`` (in sequence below 8 terms,
-eight strided accumulators up to 128, halves above), so the float64 bits
-match in O(len(a) * len(b)) memory (``tests/test_dist.py`` checks them).
+(len(a), len(b)) buffer per coordinate and adds the buffers in coordinate
+order, in O(len(a) * len(b)) memory. Its bits depend on no numpy internals:
+they equal ``sum((a[:, None, j] - b[None, :, j]) ** 2 for j in range(d))``
+(``tests/test_dist.py`` checks them). In-order summation's error bound,
+(d - 1) * eps, is as immaterial at the kernel's d (a PCA rank of at most 32,
+plus an IoU coordinate) as pairwise summation's ceil(log2 d) * eps (Higham,
+SIAM J. Sci. Comput. 14, 1993).
 
 The terms run with numpy's ufunc buffer no longer than a row: ``len(b)``
 rounded down to a multiple of 16, within [16, 8192], and the caller's size
@@ -64,30 +66,9 @@ def sq_dist_matrix(a: np.ndarray, b: np.ndarray, spare: list | None = None) -> n
         return s
 
     try:
-        return _pairwise(term, add, 0, a.shape[1])
+        return reduce(add, map(term, range(a.shape[1])))
     finally:
         np.setbufsize(old)
-
-
-def _run(term, add, lo, hi, step=1):  # terms lo, lo + step, ... below hi, in sequence
-    return reduce(add, map(term, range(lo, hi, step)))
-
-
-def _pairwise(term, add, lo, n):
-    """Terms lo .. lo + n - 1 in pairwise_sum order (not a closure: one calling itself is a cycle)."""
-    if n < 8:
-        return _run(term, add, lo, lo + n)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return add(_pairwise(term, add, lo, half), _pairwise(term, add, lo + half, n - half))
-    end = lo + n - n % 8
-
-    def r(j):  # accumulator r[j]: terms j, j + 8, ...
-        return _run(term, add, lo + j, end, 8)
-
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), each accumulator built before the next
-    tree = add(add(add(r(0), r(1)), add(r(2), r(3))), add(add(r(4), r(5)), add(r(6), r(7))))
-    return reduce(add, map(term, range(end, lo + n)), tree)  # then the n % 8 rest
 
 
 def nearest(

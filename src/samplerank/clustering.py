@@ -208,8 +208,6 @@ def fit_core_clusters(
         raise ValueError("core_reduced must be a non-empty (N, R) array")
     if core_ious.shape != (core_reduced.shape[0],):
         raise ValueError("need one IoU per core sample")
-    if iou_weight <= 0.0:
-        raise ValueError("iou_weight must be positive")
     if k is None:
         k = default_cluster_count(core_reduced.shape[0])
     mean = core_reduced.mean(axis=0)
@@ -306,17 +304,9 @@ def detect_orphans(
     size, mirroring the error-cluster rule.
     """
     ft_points = np.asarray(ft_points, dtype=np.float64)
-    if ft_points.ndim != 2 or ft_points.shape[0] == 0:
-        raise ValueError("ft_points must be a non-empty (N, R+1) array")
-    if ft_points.shape[1] != model.centroids.shape[1]:
-        raise ValueError("ft_points dimension does not match model centroids")
-    n = ft_points.shape[0]
     if k_ft is None:
-        k_ft = default_cluster_count(n)
-    if not 1 <= k_ft <= n:
-        raise ValueError(f"k_ft={k_ft} out of range [1, {n}]")
-
-    centres, labels = kmeans(ft_points, k_ft, seed)
+        k_ft = default_cluster_count(len(ft_points))
+    centres, labels = kmeans(ft_points, k_ft, seed)  # checks the points and k_ft
     orphaned = _holding(model, centres, model.core_indices) < 0
 
     sizes = np.bincount(labels, minlength=k_ft)

@@ -88,5 +88,4 @@ def save_predictor(predictor: IouPredictor, path) -> None:
 
 def load_predictor(path) -> IouPredictor:
     with read_model_file(path, "an IoU predictor", _IOP_LAYOUT) as ((_, _, k), (points, ious)):
-        # float32 storage may nudge values a hair past the bounds
-        return IouPredictor(points=points, ious=np.clip(ious, 0.0, 1.0), k=k)
+        return IouPredictor(points=points, ious=ious, k=k)

@@ -22,7 +22,7 @@ from .data import read_model_file, read_only, write_model_file
 _PCA_LAYOUT = b"PCA1", "<II", lambda d, r: [("<f4", ()), ("<f4", (d,)), ("<f4", (r, d)), ("<f4", (r,))]
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
-DEFAULT_COMPONENT_CAP = 32
+COMPONENT_CAP = 32  # the variance rule never picks a larger rank
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,16 @@ class PcaModel:
             raise ValueError("need at least one component")
         if eig.shape != (comp.shape[0],):
             raise ValueError("eigenvalues must have one entry per component")
-        if np.any(eig < -1e-12) or np.any(np.diff(eig) > 1e-12):
+        if np.any(eig < 0.0) or np.any(np.diff(eig) > 1e-12):
             raise ValueError("eigenvalues must be nonnegative and nonincreasing")
+        if not self.total_variance > 0.0:
+            raise ValueError("total variance must be positive")
         gram = comp @ comp.T
         if np.max(np.abs(gram - np.eye(comp.shape[0]))) > 1e-6:
             raise ValueError("component rows are not orthonormal within 1e-6")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comp)
-        object.__setattr__(self, "eigenvalues", read_only(np.maximum(eig, 0.0), np.float64))
+        object.__setattr__(self, "eigenvalues", read_only(eig, np.float64))
 
     @property
     def n_components(self) -> int:
@@ -67,15 +69,12 @@ class PcaModel:
 
 
 def fit_pca(
-    x: np.ndarray,
-    r: int | None = None,
-    variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
-    component_cap: int = DEFAULT_COMPONENT_CAP,
+    x: np.ndarray, r: int | None = None, variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
 ) -> PcaModel:
     """Fit a reduction on the rows of an (N, D) array.
 
     With ``r=None`` the rank is the smallest one whose cumulative explained
-    variance reaches *variance_threshold*, capped at *component_cap*.
+    variance reaches *variance_threshold*, capped at ``COMPONENT_CAP``.
     Raises on r outside [1, min(D, N)] and on zero total variance.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -104,7 +103,7 @@ def fit_pca(
     if r is None:
         ratios = np.cumsum(eigenvalues) / total_variance
         r = int(np.searchsorted(ratios, variance_threshold - 1e-12) + 1)
-        r = min(r, component_cap, max_r)
+        r = min(r, COMPONENT_CAP, max_r)
 
     components = vh[:r].copy()
     # sign convention: the largest-magnitude entry of each component is positive
@@ -142,4 +141,4 @@ def save_pca(model: PcaModel, path) -> None:
 
 def load_pca(path) -> PcaModel:
     with read_model_file(path, "a PCA model", _PCA_LAYOUT) as (_, (total, mean, components, eigenvalues)):
-        return PcaModel(mean, components, np.maximum(eigenvalues, 0.0), float(total))
+        return PcaModel(mean, components, eigenvalues, float(total))

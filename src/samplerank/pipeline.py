@@ -100,7 +100,7 @@ def score_finetune(
     return score_all(
         ids=finetune.ids,
         dist=clustering.normalize_distances(raw_dist),
-        pred_iou=np.clip(pred_ious, 0.0, 1.0),
+        pred_iou=pred_ious,
         loop=outlier_scores,
         orph=report.orph_weight,
         err=report.err_weight,

@@ -16,6 +16,7 @@ separately from the corpora so the scoring pipeline can never see it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ OUTLIER_HIDDEN_ID = -1
 
 _NOVEL_CLEARANCE_SIGMAS = 10.0
 _OUTLIER_BOX_SPANS = 20.0
+_MIN_ACCEPTANCE = 1e-4  # share of draws within truncate_sigma; below it the redraws take over a minute
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.dims < 1:
             raise ValueError("dims must be positive")
+        if (kept := _within_radius(self.dims, self.truncate_sigma)) < _MIN_ACCEPTANCE:
+            raise ValueError(f"dims = {self.dims} keeps only {kept:.1e} of draws within "
+                             f"truncate_sigma = {self.truncate_sigma}, below {_MIN_ACCEPTANCE:g}")
         for name in ("core_n", "ft_n"):  # _largest_remainder is exact in float64 to 2**53
             if not 1 <= getattr(self, name) <= 2**53:
                 raise ValueError(f"{name} must lie in [1, 2**53]")
@@ -161,6 +166,15 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
         order = np.lexsort((np.arange(weights.size), -(raw - counts)))
         counts[order[:short]] += 1
     return counts
+
+
+def _within_radius(dims: int, limit: float) -> float:
+    """P(|z| <= limit) for standard normal z in *dims* dimensions: the regularized lower gamma
+    P(dims / 2, limit**2 / 2) as a sum of Poisson terms. Past n = x + 100 the terms shrink by a
+    factor below x / (x + 100) each; where they would still count, the sum is near 1 anyway."""
+    a, x = dims / 2, limit**2 / 2
+    terms = (math.exp((a + n) * math.log(x) - x - math.lgamma(a + n + 1)) for n in range(int(x) + 100))
+    return sum(terms) if x else 0.0
 
 
 def _truncated_gaussian(rng: np.random.Generator, n: int, dims: int, limit: float) -> np.ndarray:

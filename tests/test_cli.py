@@ -180,6 +180,24 @@ class TestInputErrors:
         assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
         assert f"{name}: non-finite value at byte {byte}" in capsys.readouterr().err
 
+    # a negative last eigenvalue, a negative total variance, an IoU above 1: none is clamped on load
+    @pytest.mark.parametrize("name,byte,value,message", [
+        ("pca.bin", 296, -3.0, "eigenvalues must be nonnegative"),
+        ("pca.bin", 12, -1.0, "total variance must be positive"),
+        ("iou_refs.bin", 8012, 5.0, "reference IoUs must lie in [0,1]"),
+    ], ids=["pca.bin-eigenvalue", "pca.bin-total-variance", "iou_refs.bin-iou"])
+    def test_out_of_range_model_value_exits_2_naming_it(
+        self, embedding_files, tmp_path, capsys, name, byte, value, message
+    ):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        blob = bytearray((tmp_path / name).read_bytes())
+        blob[byte : byte + 4] = np.float32(value).tobytes()
+        (tmp_path / name).write_bytes(bytes(blob))
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
+        assert f"{name}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "queue.csv").exists()
+
     def test_error_flag_other_than_0_or_1_exits_2_naming_it(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
         assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0

@@ -105,6 +105,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="outlier_fraction"):
             load_config(None, {"sim_outlier_fraction": 0.3})
 
+    def test_dims_the_generator_cannot_draw_rejected(self):
+        """At 64 dims only 3e-8 of draws fall within the truncation radius: generating would not end."""
+        assert load_config(None, {"sim_dims": 44}).sim_dims == 44
+        with pytest.raises(ConfigError, match=r"sim: dims = 64 keeps only 3\.3e-08 of draws"):
+            load_config(None, {"sim_dims": 64})
+
 
 class TestOverridesAndDump:
     def test_flag_overrides_beat_file_values(self, tmp_path):

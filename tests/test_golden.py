@@ -26,6 +26,12 @@ GOLDEN = {
     "summary.txt": "a9d1a0c5f8f2806a214b9038b74346666db5a8201199e1aaa5747ed304ae3594",
     "aggregates.csv": "33184902a5162dea09e2960c4f819cf2276f9353b9c7569011992fd383e6f005",
     "scatter.csv": "2ac64532e3fa8f8e0618996dfa96480e36f595a56518588bcb298aa0cb59ecd2",
+    # 32 dimensions at PCA rank 24: every distance in fit and rank adds 24 or 25 terms
+    "rank-24/pca.bin": "6bf794072631ab73936922133eed705087107681861c0739ed3c84c3a847744c",
+    "rank-24/clusters.bin": "41102ef1c6335ca46fbb311c87ac62eb6ee89648ac8fb62eb024baefa6c1f09f",
+    "rank-24/iou_refs.bin": "bac9224f6ed6ae26e3632c7b7f0c45f2f7f8e2fe06569df4c24f784322ebcc54",
+    "rank-24/queue_bps.csv": "01c8459369fe5e1a294b4ac623229f434204740eac28d76ce72f3385d9e77f7c",
+    "rank-24/queue_mps.csv": "c358ba1de397d1fa4b681ec55c5d1cfb2879e0025069c0aa10958904c1b1cb77",
 }
 
 _SIM_CONFIG = """\
@@ -42,26 +48,37 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    spec = replace(default_spec(seed=13), core_n=300, ft_n=360,
-                   novel_clusters=(NovelClusterSpec(size=25), NovelClusterSpec(size=45)))
+def _fit_and_rank(root, spec, *options):
+    """Digests of the model files of a pooled fit and of the bps and mps queues ranked with them."""
+    root.mkdir()
     core, pool, _ = generate_synthetic(spec)
     save_embeddings(core, root / "core.emb")
     save_embeddings(pool, root / "pool.emb")
 
     models = root / "models"
     pool_path = str(root / "pool.emb")
-    digests = {}
-    assert main(["--seed", "5", "--out-dir", str(models), "fit",
-                 "--core", str(root / "core.emb"), "--finetune", pool_path]) == 0
-    for name in ("pca.bin", "clusters.bin", "iou_refs.bin"):
-        digests[name] = _sha256(models / name)
+    run = [*options, "--seed", "5", "--out-dir", str(models)]
+    assert main([*run, "fit", "--core", str(root / "core.emb"), "--finetune", pool_path]) == 0
+    digests = {name: _sha256(models / name) for name in ("pca.bin", "clusters.bin", "iou_refs.bin")}
     for strategy in ("bps", "mps"):
-        assert main(["--seed", "5", "--out-dir", str(models), "rank",
-                     "--finetune", pool_path, "--strategy", strategy]) == 0
+        assert main([*run, "rank", "--finetune", pool_path, "--strategy", strategy]) == 0
         digests[f"queue_{strategy}.csv"] = _sha256(models / "queue.csv")
+    return digests
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    spec = replace(default_spec(seed=13), core_n=300, ft_n=360,
+                   novel_clusters=(NovelClusterSpec(size=25), NovelClusterSpec(size=45)))
+    digests = _fit_and_rank(root / "small", spec)
+
+    config = root / "rank-24.cfg"
+    config.write_text("pca.components = 24\n")
+    spec = replace(default_spec(seed=13, dims=32), core_n=600, ft_n=700,
+                   novel_clusters=(NovelClusterSpec(size=40), NovelClusterSpec(size=60)))
+    for name, digest in _fit_and_rank(root / "rank-24", spec, "--config", str(config)).items():
+        digests[f"rank-24/{name}"] = digest
 
     config = root / "sim.cfg"
     config.write_text(_SIM_CONFIG)

@@ -8,6 +8,7 @@ from samplerank.synthetic import (
     CoreClusterSpec,
     NovelClusterSpec,
     SyntheticSpec,
+    _within_radius,
     default_spec,
     generate_synthetic,
 )
@@ -129,6 +130,17 @@ class TestSpecValidation:
                 spec,
                 core_clusters=tuple(replace(c, finetune_weight=0.0) for c in spec.core_clusters),
             )
+
+    @pytest.mark.parametrize("dims, share", [(8, 0.99057), (32, 0.053217), (48, 1.4394e-4)])
+    def test_dims_within_the_acceptance_bound_are_kept(self, dims, share):
+        """P(chi2 with *dims* degrees of freedom <= 4.5**2), the share of draws kept."""
+        assert _within_radius(dims, 4.5) == pytest.approx(share, rel=1e-4)
+        assert default_spec(dims=dims).dims == dims
+
+    @pytest.mark.parametrize("dims", [49, 512])
+    def test_dims_whose_draws_the_truncation_mostly_rejects_are_refused(self, dims):
+        with pytest.raises(ValueError, match=f"dims = {dims} keeps only"):
+            default_spec(dims=dims)
 
     def test_default_spec_shape(self):
         spec = default_spec()
