@@ -205,8 +205,6 @@ def cmd_report(config: Config, args) -> int:
     if not os.path.exists(path):
         raise FileNotFoundError(f"sweep file not found: {path}")
     result = harness.read_sweep_csv(path)
-    if not result.rows:
-        raise DataFormatError(f"{path}: no records")
     os.makedirs(config.out_dir, exist_ok=True)
     harness.report(
         result,

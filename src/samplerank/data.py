@@ -30,6 +30,7 @@ SPLIT_FINETUNE = "finetune"
 _SPLITS = (SPLIT_CORE, SPLIT_FINETUNE)
 
 _EMB_MAGIC = b"EMB1"
+_EMB_HEADER = "<IIB"  # record count, dimension, split flag
 _MAX_ID = 2**64 - 1
 
 
@@ -207,16 +208,16 @@ def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
         raise ValueError(f"unknown embedding format {format!r}")
 
 
-def load_embeddings(path, format: str | None = None) -> Corpus:
-    """Load a corpus, sniffing binary vs CSV by magic bytes when *format* is None."""
-    if format is None:
-        with open(path, "rb") as fh:
-            format = "binary" if fh.read(4) == _EMB_MAGIC else "csv"
-    if format == "binary":
-        return _load_binary(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValueError(f"unknown embedding format {format!r}")
+def load_embeddings(path) -> Corpus:
+    """Load a corpus: binary when the file starts with the ``EMB1`` magic, CSV otherwise."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    return _load_binary(path, blob) if blob[:4] == _EMB_MAGIC else _load_csv(path, blob)
+
+
+def _emb_records(dim: int) -> np.dtype:
+    """One binary record: u64-LE id, f32 measured IoU (NaN when absent), then the f32 vector."""
+    return np.dtype([("id", "<u8"), ("iou", "<f4"), ("vector", "<f4", (dim,))])
 
 
 def _save_binary(corpus: Corpus, path) -> None:
@@ -224,38 +225,33 @@ def _save_binary(corpus: Corpus, path) -> None:
     if len(splits) != 1:
         raise ValueError("binary format stores one split per file; corpus mixes splits")
     split_flag = 0 if splits.pop() == SPLIT_CORE else 1
+    table = np.empty(len(corpus), _emb_records(corpus.dimension))
+    table["id"] = corpus.ids
+    table["iou"] = [np.nan if rec.measured_iou is None else rec.measured_iou for rec in corpus]
+    table["vector"] = np.stack([rec.vector for rec in corpus])
     with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<IIB", len(corpus), corpus.dimension, split_flag))
-        for rec in corpus:
-            iou = np.float32(np.nan if rec.measured_iou is None else rec.measured_iou)
-            fh.write(struct.pack("<Q", rec.id))
-            fh.write(iou.tobytes())
-            fh.write(rec.vector.astype("<f4").tobytes())
+        fh.write(_EMB_MAGIC + struct.pack(_EMB_HEADER, len(corpus), corpus.dimension, split_flag))
+        fh.write(table.tobytes())
 
 
-def _load_binary(path) -> Corpus:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _EMB_MAGIC:
-        raise DataFormatError(f"{path}: bad magic, not an embedding file")
-    if len(blob) < 13:
+def _load_binary(path, blob: bytes) -> Corpus:
+    offset = 4 + struct.calcsize(_EMB_HEADER)
+    if len(blob) < offset:
         raise DataFormatError(f"{path}: truncated header")
-    count, dim, split_flag = struct.unpack_from("<IIB", blob, 4)
+    count, dim, split_flag = struct.unpack_from(_EMB_HEADER, blob, 4)
     if split_flag not in (0, 1):
         raise DataFormatError(f"{path}: unknown split flag {split_flag}")
     if dim == 0:
         raise DataFormatError(f"{path}: zero dimension in header")
     split = SPLIT_CORE if split_flag == 0 else SPLIT_FINETUNE
-    record_size = 8 + 4 + 4 * dim
-    expected = 13 + count * record_size
+    expected = offset + count * (_emb_records(0).itemsize + 4 * dim)  # no dtype holds a vector of 2**29 f32
     if len(blob) != expected:
         raise DataFormatError(
             f"{path}: size mismatch, expected {expected} bytes for {count} records, got {len(blob)}"
         )
     if count == 0:  # no records may come with any dimension, even one no dtype can hold
         return Corpus((), dimension=dim)
-    table = np.frombuffer(blob, dtype=[("id", "<u8"), ("iou", "<f4"), ("vector", "<f4", (dim,))], offset=13)
+    table = np.frombuffer(blob, dtype=_emb_records(dim), offset=offset)
     ids, ious, vectors = table["id"].tolist(), table["iou"].tolist(), table["vector"]
 
     def record(i):
@@ -276,7 +272,10 @@ def _save_csv(corpus: Corpus, path) -> None:
 def read_utf8(path) -> str:
     """The text of *path*; bytes that are not UTF-8 raise DataFormatError naming the line."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        return _decode_utf8(path, fh.read())
+
+
+def _decode_utf8(path, blob: bytes) -> str:
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -284,8 +283,8 @@ def read_utf8(path) -> str:
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_csv(path) -> Corpus:
-    text = read_utf8(path)
+def _load_csv(path, blob: bytes) -> Corpus:
+    text = _decode_utf8(path, blob)
     if '"' in text:
         line = text.count("\n", 0, text.index('"')) + 1
         raise DataFormatError(f"{path}: line {line}: quoted field; records are unquoted, one per line")

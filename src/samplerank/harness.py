@@ -35,6 +35,7 @@ ALL_STRATEGIES = (STRATEGY_PRIORITY_BPS, STRATEGY_PRIORITY_MPS, STRATEGY_RANDOM)
 _PRIORITY_FORMULAS = {STRATEGY_PRIORITY_BPS: STRATEGY_BPS, STRATEGY_PRIORITY_MPS: STRATEGY_MPS}
 
 _RANDOM_STREAM_TAG = 0x5EED
+_SWEEP_HEADER = ["strategy", "budget", "seed", "quality"]
 
 
 def surrogate_quality(labeled_ids, ft_corpus: Corpus, truth: GroundTruth) -> float:
@@ -91,9 +92,6 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-
     def strategies(self) -> list[str]:
         seen = dict.fromkeys(row.strategy for row in self.rows)
         return list(seen)
@@ -138,18 +136,13 @@ def run_budget_sweep(
         core, finetune, truth = generate_synthetic(replace(spec, seed=seed))
         scores = compute_scores(core, finetune, params, seed=seed)
         position = {rec_id: i for i, rec_id in enumerate(finetune.ids)}
-
-        trajectories: dict[str, np.ndarray] = {}
-        for strategy, formula in _PRIORITY_FORMULAS.items():
-            if strategy in strategies:
-                trajectories[strategy] = np.array([position[i] for i in rank(scores, formula)])
-        if STRATEGY_RANDOM in strategies:
-            baseline_rng = np.random.default_rng([_RANDOM_STREAM_TAG, seed])
-            trajectories[STRATEGY_RANDOM] = baseline_rng.permutation(spec.ft_n)
-
         vectors = finetune.vectors()
         for strategy in strategies:
-            qualities = _coverage(vectors, truth, trajectories[strategy], budgets)
+            if strategy == STRATEGY_RANDOM:
+                order = np.random.default_rng([_RANDOM_STREAM_TAG, seed]).permutation(spec.ft_n)
+            else:
+                order = np.array([position[i] for i in rank(scores, _PRIORITY_FORMULAS[strategy])])
+            qualities = _coverage(vectors, truth, order, budgets)
             rows += [SweepRow(strategy, budget, seed, q) for budget, q in zip(budgets, qualities)]
     return SweepResult(rows=tuple(rows))
 
@@ -157,22 +150,24 @@ def run_budget_sweep(
 def write_sweep_csv(result: SweepResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["strategy", "budget", "seed", "quality"])
+        writer.writerow(_SWEEP_HEADER)
         for row in result.rows:
             writer.writerow([row.strategy, row.budget, row.seed, f"{row.quality:.12g}"])
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Rows written by ``write_sweep_csv``; raises ValueError naming the file on a bad or repeated row, and
-    on a strategy that lacks a (budget, seed) another strategy ran, so every mean compares the same seeds."""
+    """Rows written by ``write_sweep_csv``; raises ValueError naming the file on no rows, a bad or repeated
+    row, and on a strategy that lacks a (budget, seed) another strategy ran, so every mean compares the same seeds."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header, *table = list(reader) or [None]
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if header != ["strategy", "budget", "seed", "quality"]:
+    if header != _SWEEP_HEADER:
         raise ValueError(f"{path}: malformed sweep header {header!r}")
-    rows, present = [], set()
+    if not table:
+        raise ValueError(f"{path}: no records")
+    rows: dict[tuple[str, int, int], SweepRow] = {}
     for index, r in enumerate(table):
         try:
             if len(r) != 4:
@@ -183,19 +178,16 @@ def read_sweep_csv(path) -> SweepResult:
             if not 0.0 <= row.quality <= 1.0:
                 raise ValueError(f"quality {row.quality} outside [0,1]")
             key = (row.strategy, row.budget, row.seed)
-            if key in present:
+            if key in rows:
                 raise ValueError("second record for strategy {} at budget {}, seed {}".format(*key))
-            present.add(key)
-            rows.append(row)
+            rows[key] = row
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from None
-    result = SweepResult(rows=tuple(rows))
-    seeds: dict[int, set[int]] = {}  # budget -> every seed any strategy ran at it
-    for row in rows:
-        seeds.setdefault(row.budget, set()).add(row.seed)
-    for strategy, budget in ((s, b) for s in result.strategies() for b in result.budgets()):
-        for seed in sorted(seeds[budget]):
-            if (strategy, budget, seed) not in present:
+    result = SweepResult(rows=tuple(rows.values()))
+    cells = sorted({(budget, seed) for _, budget, seed in rows})  # every (budget, seed) any strategy ran
+    for strategy in result.strategies():
+        for budget, seed in cells:
+            if (strategy, budget, seed) not in rows:
                 raise ValueError(f"{path}: strategy {strategy} has no record at budget {budget}, seed {seed}")
     return result
 
@@ -212,55 +204,35 @@ def export_scatter(ids, xy: np.ndarray, ious, splits, path) -> None:
             writer.writerow([rec_id, f"{point[0]:.9g}", f"{point[1]:.9g}", f"{iou_value:.9g}", split])
 
 
-def _table(result: SweepResult) -> tuple[list[str], bool, list[tuple]]:
-    """Strategies, whether bps and random both ran, and per budget (budget, [(mean, std)], bps - random)."""
+def report(result: SweepResult, summary_path, aggregates_path) -> None:
+    """Write the per-budget summary table with the priority-vs-random verdict, and the same figures as CSV."""
     if not result.rows:
         raise ValueError("empty sweep result")
     strategies = result.strategies()
     paired = STRATEGY_PRIORITY_BPS in strategies and STRATEGY_RANDOM in strategies
-    table = []
-    for budget in result.budgets():
-        means = {s: result.mean(s, budget) for s in strategies}
-        diff = means[STRATEGY_PRIORITY_BPS] - means[STRATEGY_RANDOM] if paired else None
-        table.append((budget, [(means[s], result.stddev(s, budget)) for s in strategies], diff))
-    return strategies, paired, table
-
-
-def summarize(result: SweepResult) -> str:
-    """Per-budget mean-quality table plus the priority-vs-random verdict."""
-    return _summary(*_table(result))
-
-
-def _summary(strategies: list[str], paired: bool, table: list[tuple]) -> str:
     header = ["budget"] + [f"{s}(mean+-std)" for s in strategies] + (["bps-random"] if paired else [])
     lines = ["  ".join(f"{h:>24}" for h in header)]
+    columns = [name for s in strategies for name in (f"mean_{s}", f"std_{s}")]
+    table = [["budget", *columns] + (["diff_bps_minus_random"] if paired else [])]
     last_winning = None
-    for budget, stats, diff in table:
-        cells = [f"{budget:>24}"] + [f"{mean:>16.4f} +- {std:.4f}" for mean, std in stats]
+    for budget in result.budgets():
+        stats = {s: (result.mean(s, budget), result.stddev(s, budget)) for s in strategies}
+        cells = [f"{budget:>24}"] + [f"{mean:>16.4f} +- {std:.4f}" for mean, std in stats.values()]
+        values = [f"{value:.9g}" for pair in stats.values() for value in pair]
         if paired:
+            diff = stats[STRATEGY_PRIORITY_BPS][0] - stats[STRATEGY_RANDOM][0]
             cells.append(f"{diff:>+24.4f}")
+            values.append(f"{diff:.9g}")
             if diff >= 0:
                 last_winning = budget
         lines.append("  ".join(cells))
+        table.append([budget, *values])
     if paired:
         if last_winning is None:
             lines.append("priority_bps never reaches the random baseline")
         else:
             lines.append(f"largest budget with priority_bps >= random: {last_winning}")
-    return "\n".join(lines) + "\n"
-
-
-def report(result: SweepResult, summary_path, aggregates_path=None) -> None:
-    """Write the plain-text summary and, optionally, the aggregate CSV."""
-    strategies, paired, table = _table(result)
     with open(summary_path, "w") as fh:
-        fh.write(_summary(strategies, paired, table))
-    if aggregates_path is None:
-        return
+        fh.write("\n".join(lines) + "\n")
     with open(aggregates_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        columns = [name for s in strategies for name in (f"mean_{s}", f"std_{s}")]
-        writer.writerow(["budget", *columns] + (["diff_bps_minus_random"] if paired else []))
-        for budget, stats, diff in table:
-            cells = [f"{value:.9g}" for pair in stats for value in pair]
-            writer.writerow([budget, *cells] + ([f"{diff:.9g}"] if paired else []))
+        csv.writer(fh).writerows(table)

@@ -1,5 +1,6 @@
 """Corpus construction, file round-trips, mask validation, and read-only record arrays."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -91,14 +92,14 @@ class TestEmbeddingRoundTrip:
         corpus = _random_corpus(np.random.default_rng(0))
         path = tmp_path / "c.emb"
         save_embeddings(corpus, path, "binary")
-        loaded = load_embeddings(path, "binary")
+        loaded = load_embeddings(path)
         assert loaded == corpus
 
     def test_csv_round_trip_within_tolerance(self, tmp_path):
         corpus = _random_corpus(np.random.default_rng(1))
         path = tmp_path / "c.csv"
         save_embeddings(corpus, path, "csv")
-        loaded = load_embeddings(path, "csv")
+        loaded = load_embeddings(path)
         for a, b in zip(loaded, corpus):
             np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
             assert a.id == b.id and a.split == b.split
@@ -114,6 +115,21 @@ class TestEmbeddingRoundTrip:
         corpus = _random_corpus(np.random.default_rng(3), split="finetune")
         save_embeddings(corpus, tmp_path / "x", "binary")
         assert load_embeddings(tmp_path / "x") == corpus
+
+    def test_binary_layout_packed_by_hand(self, tmp_path):
+        # "EMB1", then count, dimension and split flag (<IIB), then per record: <Q id, <f IoU, D x <f
+        vectors = ([0.5, -1.25, 3.0], [2.0, 0.0, -0.75])
+        blob = b"EMB1" + struct.pack("<IIB", 2, 3, 1)
+        blob += struct.pack("<Qf3f", 7, 0.25, *vectors[0])
+        blob += struct.pack("<Qf3f", 2**64 - 1, float("nan"), *vectors[1])
+        corpus = Corpus((
+            EmbeddingRecord(id=7, split="finetune", vector=np.array(vectors[0]), measured_iou=0.25),
+            EmbeddingRecord(id=2**64 - 1, split="finetune", vector=np.array(vectors[1])),
+        ))
+        save_embeddings(corpus, tmp_path / "saved.emb")
+        assert (tmp_path / "saved.emb").read_bytes() == blob
+        (tmp_path / "packed.emb").write_bytes(blob)
+        assert load_embeddings(tmp_path / "packed.emb") == corpus
 
     def test_empty_corpus_refuses_to_save(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
@@ -152,13 +168,13 @@ class TestEmbeddingErrors:
         path = tmp_path / "c.emb"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(DataFormatError, match="header|magic"):
-            load_embeddings(path, "binary")
+            load_embeddings(path)
 
     def test_malformed_csv_header(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("id,iou,v0\n1,0.5,1.0\n")
         with pytest.raises(DataFormatError, match="header"):
-            load_embeddings(path, "csv")
+            load_embeddings(path)
 
     def test_missing_core_iou_in_csv(self, tmp_path):
         path = tmp_path / "c.csv"

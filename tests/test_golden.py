@@ -26,6 +26,9 @@ GOLDEN = {
     "summary.txt": "a9d1a0c5f8f2806a214b9038b74346666db5a8201199e1aaa5747ed304ae3594",
     "aggregates.csv": "33184902a5162dea09e2960c4f819cf2276f9353b9c7569011992fd383e6f005",
     "scatter.csv": "2ac64532e3fa8f8e0618996dfa96480e36f595a56518588bcb298aa0cb59ecd2",
+    # report --sweep on simulate's sweep.csv writes the bytes simulate wrote
+    "report/summary.txt": "a9d1a0c5f8f2806a214b9038b74346666db5a8201199e1aaa5747ed304ae3594",
+    "report/aggregates.csv": "33184902a5162dea09e2960c4f819cf2276f9353b9c7569011992fd383e6f005",
     # 32 dimensions at PCA rank 24: every distance in fit and rank adds 24 or 25 terms
     "rank-24/pca.bin": "6bf794072631ab73936922133eed705087107681861c0739ed3c84c3a847744c",
     "rank-24/clusters.bin": "41102ef1c6335ca46fbb311c87ac62eb6ee89648ac8fb62eb024baefa6c1f09f",
@@ -87,6 +90,9 @@ def outputs(tmp_path_factory):
     assert main(["--config", str(config), "--out-dir", str(sim), "scatter"]) == 0
     for name in ("sweep.csv", "summary.txt", "aggregates.csv", "scatter.csv"):
         digests[name] = _sha256(sim / name)
+    assert main(["--out-dir", str(root / "report"), "report", "--sweep", str(sim / "sweep.csv")]) == 0
+    for name in ("summary.txt", "aggregates.csv"):
+        digests[f"report/{name}"] = _sha256(root / "report" / name)
     return digests
 
 

@@ -18,7 +18,6 @@ from samplerank.harness import (
     read_sweep_csv,
     report,
     run_budget_sweep,
-    summarize,
     surrogate_quality,
     write_sweep_csv,
 )
@@ -169,23 +168,28 @@ class TestReporting:
             rows.append(SweepRow(STRATEGY_RANDOM, budget, 1, qr))
         return SweepResult(rows=tuple(rows))
 
-    def test_summary_names_largest_winning_budget(self):
-        text = summarize(self._result())
+    @staticmethod
+    def _summary(result, tmp_path):
+        report(result, tmp_path / "summary.txt", tmp_path / "agg.csv")
+        return (tmp_path / "summary.txt").read_text()
+
+    def test_summary_names_largest_winning_budget(self, tmp_path):
+        text = self._summary(self._result(), tmp_path)
         assert "largest budget with priority_bps >= random: 100" in text
 
-    def test_positive_differences_in_early_rows(self):
-        text = summarize(self._result())
+    def test_positive_differences_in_early_rows(self, tmp_path):
+        text = self._summary(self._result(), tmp_path)
         row_100 = next(line for line in text.splitlines() if line.strip().startswith("100"))
         assert "+0.1000" in row_100
 
-    def test_single_cell_result(self):
+    def test_single_cell_result(self, tmp_path):
         result = SweepResult(rows=(SweepRow(STRATEGY_RANDOM, 10, 0, 0.5),))
-        text = summarize(result)
+        text = self._summary(result, tmp_path)
         assert "10" in text and "0.5" in text
 
-    def test_empty_result_rejected(self):
+    def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            summarize(SweepResult(rows=()))
+            self._summary(SweepResult(rows=()), tmp_path)
 
     def test_report_writes_summary_and_aggregates(self, tmp_path):
         report(self._result(), tmp_path / "summary.txt", tmp_path / "agg.csv")
