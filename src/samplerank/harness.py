@@ -93,8 +93,7 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
     def strategies(self) -> list[str]:
-        seen = dict.fromkeys(row.strategy for row in self.rows)
-        return list(seen)
+        return list(dict.fromkeys(row.strategy for row in self.rows))
 
     def budgets(self) -> list[int]:
         return sorted({row.budget for row in self.rows})
@@ -148,11 +147,9 @@ def run_budget_sweep(
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
+    rows = [[row.strategy, row.budget, row.seed, repr(row.quality)] for row in result.rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_HEADER)
-        for row in result.rows:
-            writer.writerow([row.strategy, row.budget, row.seed, f"{row.quality:.12g}"])
+        csv.writer(fh).writerows([_SWEEP_HEADER, *rows])
 
 
 def read_sweep_csv(path) -> SweepResult:
@@ -228,10 +225,8 @@ def report(result: SweepResult, summary_path, aggregates_path) -> None:
         lines.append("  ".join(cells))
         table.append([budget, *values])
     if paired:
-        if last_winning is None:
-            lines.append("priority_bps never reaches the random baseline")
-        else:
-            lines.append(f"largest budget with priority_bps >= random: {last_winning}")
+        lines.append("priority_bps never reaches the random baseline" if last_winning is None
+                     else f"largest budget with priority_bps >= random: {last_winning}")
     with open(summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(aggregates_path, "w", newline="") as fh:

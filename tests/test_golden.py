@@ -22,7 +22,8 @@ GOLDEN = {
     "iou_refs.bin": "6262829fd5bb64109deaa2e380de0b5dcc8601051f412f178b5c6d712b1597c8",
     "queue_bps.csv": "003c571b315bcff0de08c1adcee156fc86e7b209abdfa5470938fdfb51358f4a",
     "queue_mps.csv": "ac2d52559db5dc384f031ad6d2481e824295246213e07732caaa7f6e6b54627f",
-    "sweep.csv": "497b101ddff09347ca9d83ce5af3d27729e5dedf0286a27515413066b698e719",
+    # qualities at round-trip precision (repr) since the 12-digit form lost the last bits
+    "sweep.csv": "9ac9943d0f3a00ef4d42e20a97b86a70c3733c6fc087a2305720d937b6db07b1",
     "summary.txt": "a9d1a0c5f8f2806a214b9038b74346666db5a8201199e1aaa5747ed304ae3594",
     "aggregates.csv": "33184902a5162dea09e2960c4f819cf2276f9353b9c7569011992fd383e6f005",
     "scatter.csv": "2ac64532e3fa8f8e0618996dfa96480e36f595a56518588bcb298aa0cb59ecd2",

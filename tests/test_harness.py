@@ -156,7 +156,7 @@ class TestBudgetSweep:
         assert loaded.budgets() == small_result.budgets()
         for row_a, row_b in zip(loaded.rows, small_result.rows):
             assert row_a.strategy == row_b.strategy
-            assert row_a.quality == pytest.approx(row_b.quality, abs=1e-12)
+            assert row_a.quality == row_b.quality
 
 
 class TestReporting:
