@@ -244,7 +244,7 @@ def _load_binary(path, blob: bytes) -> Corpus:
     if dim == 0:
         raise DataFormatError(f"{path}: zero dimension in header")
     split = SPLIT_CORE if split_flag == 0 else SPLIT_FINETUNE
-    expected = offset + count * (_emb_records(0).itemsize + 4 * dim)  # no dtype holds a vector of 2**29 f32
+    expected = offset + count * (_emb_records(0).itemsize + 4 * dim)  # _emb_records(dim) fails from about 2**29
     if len(blob) != expected:
         raise DataFormatError(
             f"{path}: size mismatch, expected {expected} bytes for {count} records, got {len(blob)}"

@@ -147,14 +147,14 @@ def run_budget_sweep(
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    rows = [[row.strategy, row.budget, row.seed, repr(row.quality)] for row in result.rows]
+    rows = [[row.strategy, row.budget, row.seed, repr(float(row.quality))] for row in result.rows]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([_SWEEP_HEADER, *rows])
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Rows written by ``write_sweep_csv``; raises ValueError naming the file on no rows, a bad or repeated
-    row, and on a strategy that lacks a (budget, seed) another strategy ran, so every mean compares the same seeds."""
+    """Rows written by ``write_sweep_csv``; ValueError names the file on no records, a bad or repeated row,
+    or a strategy lacking a (budget, seed) another strategy ran: every mean must compare the same seeds."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header, *table = list(reader) or [None]

@@ -158,6 +158,11 @@ class TestBudgetSweep:
             assert row_a.strategy == row_b.strategy
             assert row_a.quality == row_b.quality
 
+    def test_csv_writes_a_numpy_quality_as_a_plain_number(self, tmp_path):
+        row = SweepRow(STRATEGY_RANDOM, 10, 1, np.float64(0.1))
+        write_sweep_csv(SweepResult(rows=(row,)), tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text().splitlines()[1] == "random,10,1,0.1"
+
 
 class TestReporting:
     def _result(self):
