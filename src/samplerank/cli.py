@@ -181,17 +181,16 @@ def cmd_scatter(config: Config, args) -> int:
     core, finetune, _truth = generate_synthetic(config.synthetic_spec())
     pooled = np.vstack([core.vectors(), finetune.vectors()])
     view = pca.fit_pca(pooled, r=min(2, pooled.shape[1]))
-    xy_core = pca.transform_batch(view, core.vectors())
-    xy_ft = pca.transform_batch(view, finetune.vectors())
+    xy = pca.transform_batch(view, pooled)
 
-    predictor = metrics.IouPredictor(xy_core, core.measured_ious(), k=min(config.knn_k, len(core)))
-    ft_ious = metrics.predict_iou_batch(predictor, xy_ft)
+    predictor = metrics.IouPredictor(xy[: len(core)], core.measured_ious(), k=min(config.knn_k, len(core)))
+    ft_ious = metrics.predict_iou_batch(predictor, xy[len(core) :])
 
     os.makedirs(config.out_dir, exist_ok=True)
     scatter_path = os.path.join(config.out_dir, "scatter.csv")
     harness.export_scatter(
         ids=core.ids + finetune.ids,
-        xy=np.vstack([xy_core, xy_ft]),
+        xy=xy,
         ious=np.concatenate([core.measured_ious(), ft_ious]),
         splits=["core"] * len(core) + ["finetune"] * len(finetune),
         path=scatter_path,

@@ -16,7 +16,6 @@ Masks are never read from files: ``BinaryMask`` lives in memory, for ``metrics.i
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import struct
@@ -134,17 +133,15 @@ class Corpus:
         return [rec.id for rec in self.records]
 
     def vectors(self) -> np.ndarray:
-        """Record vectors stacked row-wise as float64."""
-        return np.stack([rec.vector for rec in self.records]).astype(np.float64)
+        """Record vectors stacked row-wise at their stored float32 precision."""
+        return np.stack([rec.vector for rec in self.records])
 
     def measured_ious(self) -> np.ndarray:
         """Measured IoU per record; raises if any record lacks one."""
-        values = []
         for index, rec in enumerate(self.records):
             if rec.measured_iou is None:
                 raise ValueError(f"record {index} (id {rec.id}) has no measured_iou")
-            values.append(rec.measured_iou)
-        return np.asarray(values, dtype=np.float64)
+        return np.array([rec.measured_iou for rec in self.records], dtype=np.float64)
 
 
 def write_model_file(path, layout, counts, arrays) -> None:
@@ -261,12 +258,12 @@ def _load_binary(path, blob: bytes) -> Corpus:
 
 
 def _save_csv(corpus: Corpus, path) -> None:
+    line = "%d,%s,%s," + ",".join(["%.9g"] * corpus.dimension) + "\r\n"  # the float32 values' 9 digits
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "split", "iou"] + [f"v{i}" for i in range(corpus.dimension)])
+        fh.write(",".join(["id", "split", "iou"] + [f"v{i}" for i in range(corpus.dimension)]) + "\r\n")
         for rec in corpus:
             iou = "" if rec.measured_iou is None else f"{rec.measured_iou:.9g}"
-            writer.writerow([rec.id, rec.split, iou] + [f"{x:.9g}" for x in rec.vector])
+            fh.write(line % (rec.id, rec.split, iou, *rec.vector.tolist()))
 
 
 def read_utf8(path) -> str:
@@ -284,14 +281,15 @@ def _decode_utf8(path, blob: bytes) -> str:
 
 
 def _load_csv(path, blob: bytes) -> Corpus:
-    text = _decode_utf8(path, blob)
-    if '"' in text:
-        line = text.count("\n", 0, text.index('"')) + 1
+    plain = blob.isascii() and not any(c in blob for c in b"\v\f\x1c\x1d\x1e")  # bytes and str split lines alike
+    text = None if plain else _decode_utf8(path, blob)  # ASCII is valid UTF-8; fields decode one by one below
+    if b'"' in blob:
+        line = blob.count(b"\n", 0, blob.index(b'"')) + 1
         raise DataFormatError(f"{path}: line {line}: quoted field; records are unquoted, one per line")
-    lines = text.splitlines()
+    lines = blob.splitlines() if plain else [line.encode() for line in text.splitlines()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[0].decode().split(",")
     if header[:3] != ["id", "split", "iou"] or len(header) < 4:
         raise DataFormatError(f"{path}: malformed header {header!r}")
     dim = len(header) - 3
@@ -299,23 +297,23 @@ def _load_csv(path, blob: bytes) -> Corpus:
         raise DataFormatError(f"{path}: malformed vector columns in header")
     rows = lines[1:]
     for index, line in enumerate(rows):
-        if line.count(",") != 2 + dim:
-            raise DataFormatError(f"{path}: record {index}: expected {3 + dim} fields, got {line.count(',') + 1}")
+        if line.count(b",") != 2 + dim:
+            raise DataFormatError(f"{path}: record {index}: expected {3 + dim} fields, got {line.count(b',') + 1}")
     try:  # every row holds 3 + dim fields, so numpy's row i is record i; numpy warns on no rows
         vectors = rows and np.loadtxt(
-            rows, np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2
+            rows, np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2, encoding="utf-8"
         )
     except ValueError as exc:
         bad = re.search(r"at row (\d+), column (\d+)", str(exc))
         if bad is None:
             raise DataFormatError(f"{path}: {exc}") from None
         index, column = int(bad[1]), int(bad[2]) - 1
-        value = rows[index].split(",")[column]
+        value = rows[index].split(b",")[column].decode()
         raise DataFormatError(f"{path}: record {index}: v{column - 3} is not a number: {value!r}") from None
-    head = [row.split(",", 3)[:3] for row in rows]  # id, split, iou
+    head = [row.split(b",", 3)[:3] for row in rows]  # id, split, iou
 
     def record(i):
-        rec_id, split, iou = head[i]
+        rec_id, split, iou = (field.decode() for field in head[i])
         return EmbeddingRecord(int(rec_id), split, vectors[i], None if iou == "" else float(iou))
 
     return _corpus(path, dim, len(rows), record)

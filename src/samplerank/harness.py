@@ -135,7 +135,7 @@ def run_budget_sweep(
         core, finetune, truth = generate_synthetic(replace(spec, seed=seed))
         scores = compute_scores(core, finetune, params, seed=seed)
         position = {rec_id: i for i, rec_id in enumerate(finetune.ids)}
-        vectors = finetune.vectors()
+        vectors = finetune.vectors().astype(np.float64)  # cast once, not in every coverage step
         for strategy in strategies:
             if strategy == STRATEGY_RANDOM:
                 order = np.random.default_rng([_RANDOM_STREAM_TAG, seed]).permutation(spec.ft_n)

@@ -5,9 +5,12 @@ data. For N >= D vectors it is the eigendecomposition of the (D, D) scatter
 matrix, ~7x faster than an SVD of the (N, D) data at 12,200 x 512; that
 squares the condition number, but the top r components still match the
 SVD's subspace within eps * l_1 / (l_r - l_{r+1}) to first order, for
-eigenvalues l_1 >= l_2 >= ... For N < D it is the economy SVD. Component
-signs follow a fixed convention so refitting identical bytes reproduces an
-identical model.
+eigenvalues l_1 >= l_2 >= ... The scatter matrix is summed over row blocks,
+each centred in float64 in one reused buffer, and projection runs block by
+block too: stored float32 vectors are never copied whole to float64, and they
+give the same model as their float64 cast. For N < D it is the economy SVD
+of one centred copy. Component signs follow a fixed convention so refitting
+identical bytes reproduces an identical model.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ _PCA_LAYOUT = b"PCA1", "<II", lambda d, r: [("<f4", ()), ("<f4", (d,)), ("<f4", 
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
 COMPONENT_CAP = 32  # the variance rule never picks a larger rank
+_BLOCK_BUDGET = 1 << 19  # float64 elements of one centred row block (4 MiB); rows = this // D
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ def fit_pca(
     variance reaches *variance_threshold*, capped at ``COMPONENT_CAP``.
     Raises on r outside [1, min(D, N)] and on zero total variance.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("expected an (N, D) matrix of vectors")
     n, d = x.shape
@@ -87,14 +91,13 @@ def fit_pca(
     if r is not None and not 1 <= r <= max_r:
         raise ValueError(f"r={r} out of range [1, {max_r}]")
 
-    mean = x.mean(axis=0)
-    centred = x - mean
+    mean = x.mean(axis=0, dtype=np.float64)
     if n >= d:  # eigenvectors of the (D, D) scatter matrix, reordered largest first
-        scatter, vectors = np.linalg.eigh(centred.T @ centred)
+        scatter, vectors = np.linalg.eigh(sum(c.T @ c for _, c in _centred_blocks(x, mean)))
         eigenvalues = np.maximum(scatter[::-1], 0.0) / (n - 1)
         vh = vectors[:, ::-1].T
     else:  # economy SVD: vh carries N rows, the most r can be
-        _, singulars, vh = np.linalg.svd(centred, full_matrices=False)
+        _, singulars, vh = np.linalg.svd(np.subtract(x, mean), full_matrices=False)
         eigenvalues = singulars**2 / (n - 1)
     total_variance = float(eigenvalues.sum())
     if total_variance <= 0.0:
@@ -119,14 +122,25 @@ def fit_pca(
     )
 
 
+def _centred_blocks(x: np.ndarray, mean: np.ndarray):
+    """``(start, x[start:start + rows] - mean)`` in float64, block after block; one buffer serves them all."""
+    rows = max(1, _BLOCK_BUDGET // x.shape[1])
+    buffer = np.empty((min(rows, len(x)), x.shape[1]))
+    for start in range(0, len(x), rows):
+        yield start, np.subtract(x[start : start + rows], mean, out=buffer[: len(x) - start])
+
+
 def transform_batch(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project an (N, D) matrix of row vectors."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != model.dimension:
         raise ValueError(f"matrix shape {x.shape} does not match dimension {model.dimension}")
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix contains non-finite values")
-    return (x - model.mean) @ model.components.T
+    out = np.empty((len(x), model.n_components))
+    for start, c in _centred_blocks(x, model.mean):
+        np.matmul(c, model.components.T, out=out[start : start + len(c)])
+    return out
 
 
 def explained_variance_ratio(model: PcaModel) -> np.ndarray:

@@ -46,10 +46,9 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     A count of 0 in *params* (PCA rank, cluster counts) selects the stage's
     default rule.
     """
-    fit_matrix = core.vectors()
-    if params.pca_fit == PCA_FIT_POOLED and finetune is not None:
-        fit_matrix = np.vstack([fit_matrix, finetune.vectors()])
-    core_vectors = fit_matrix[: len(core)]  # a view: one float64 copy of the core rows
+    pooled = finetune.records if params.pca_fit == PCA_FIT_POOLED and finetune is not None else ()
+    fit_matrix = np.stack([rec.vector for rec in core.records + pooled])  # float32, one allocation
+    core_vectors = fit_matrix[: len(core)]  # a view: no second copy of the core rows
     r = _count(params, "pca_components", min(fit_matrix.shape), "smaller of the fit's vector count and dimension")
     reduction = pca.fit_pca(fit_matrix, r=r, variance_threshold=params.pca_variance_threshold)
 

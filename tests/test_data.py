@@ -202,6 +202,19 @@ class TestCsvLoader:
         assert from_csv.vectors().tobytes() == from_binary.vectors().tobytes()
         assert from_csv.measured_ious().tobytes() == from_binary.measured_ious().tobytes()
 
+    def test_writer_bytes_for_signed_zero_subnormal_and_max(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        vector = np.arange(512, dtype=np.float32) / np.float32(7)
+        vector[:3] = -0.0, f32.smallest_subnormal, f32.max
+        path = tmp_path / "c.csv"
+        save_embeddings(Corpus((EmbeddingRecord(5, SPLIT_FINETUNE, vector),)), path, "csv")
+        header = ",".join(["id", "split", "iou"] + [f"v{i}" for i in range(512)])
+        line = ",".join(["5", "finetune", "", "-0", "1.40129846e-45", "3.40282347e+38"]
+                        + [f"{v:.9g}" for v in vector[3:]])
+        assert path.read_bytes() == f"{header}\r\n{line}\r\n".encode()
+        (back,) = load_embeddings(path)
+        assert back.vector.tobytes() == vector.tobytes()
+
     def test_bad_float_names_file_record_and_column(self, tmp_path):
         path, lines = self._csv(tmp_path)
         fields = lines[3].split(",")

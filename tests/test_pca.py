@@ -1,8 +1,11 @@
 """Reduction fitting, projection, and persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from samplerank import pca
 from samplerank.pca import (
     PcaModel,
     explained_variance_ratio,
@@ -226,3 +229,35 @@ class TestGramRoute:
         np.testing.assert_array_equal(model.components, vh[:7] * signs[:, None])
         np.testing.assert_array_equal(model.eigenvalues, lam[:7])
         assert model.total_variance == lam.sum()
+
+
+class TestRowBlocks:
+    """Fit and projection take stored float32 vectors through row blocks, never a float64 copy."""
+
+    def test_float32_fit_equals_fit_on_its_float64_cast(self):
+        d = 128
+        n = 2 * (pca._BLOCK_BUDGET // d) + 123  # two full blocks and a partial one
+        rng = np.random.default_rng(23)
+        x = (rng.normal(size=(n, d)) * np.linspace(3.0, 0.1, d) + 2.0).astype(np.float32)
+        wide = x.astype(np.float64)
+        got, want = fit_pca(x), fit_pca(wide)
+        for name in ("mean", "components", "eigenvalues"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.total_variance == want.total_variance
+        assert transform_batch(got, x).tobytes() == transform_batch(want, wide).tobytes()
+        # the summed block scatter matrices agree with one SVD of the whole centred matrix
+        lam, _ = TestGramRoute._svd(wide)
+        np.testing.assert_allclose(got.eigenvalues, lam[: got.n_components], rtol=1e-10)
+        np.testing.assert_allclose(
+            transform_batch(got, x), (wide - got.mean) @ got.components.T, rtol=1e-10, atol=1e-12
+        )
+
+    def test_fit_and_transform_peak_below_one_float64_copy(self):
+        x = np.random.default_rng(24).normal(size=(20_000, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            transform_batch(fit_pca(x), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size * np.dtype(np.float64).itemsize  # 39 MiB
