@@ -26,7 +26,7 @@ from .harness import (
     surrogate_quality,
 )
 from .metrics import IouPredictor, iou, predict_iou_batch
-from .loop import LoopModel, fit_loop
+from .loop import fit_loop
 from .pca import PcaModel, explained_variance_ratio, fit_pca, transform_batch
 from .config import Config
 from .pipeline import compute_scores, fit_models, score_finetune

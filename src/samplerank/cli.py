@@ -103,7 +103,11 @@ def cmd_fit(config: Config, args) -> int:
     finetune = None
     if config.finetune_embeddings:
         finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, core.dimension)
-    models = pipeline.fit_models(core, finetune, config, seed=config.seed)
+    try:
+        models = pipeline.fit_models(core, finetune, config, seed=config.seed)
+    except ValueError as exc:  # name the files the models were fitted on
+        fitted = " and ".join(filter(None, (config.core_embeddings, config.finetune_embeddings)))
+        raise ValueError(f"{exc} (fitting {fitted})") from None
 
     os.makedirs(config.out_dir, exist_ok=True)
     pca.save_pca(models.reduction, os.path.join(config.out_dir, _PCA_FILE))

@@ -16,8 +16,6 @@ from .pca import DEFAULT_VARIANCE_THRESHOLD
 from .synthetic import NovelClusterSpec, SyntheticSpec, default_spec
 
 
-PCA_FIT_POOLED = "pooled"
-PCA_FIT_CORE = "core"
 STRATEGY_BPS = "bps"
 STRATEGY_MPS = "mps"
 
@@ -41,7 +39,6 @@ class Config:
     out_dir: str = "."
     pca_components: int = 0          # 0 selects the variance-threshold rule
     pca_variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
-    pca_fit: str = PCA_FIT_POOLED
     knn_k: int = DEFAULT_KNN_K
     cluster_k: int = 0               # 0 selects the sqrt(N/2) rule
     cluster_k_err: int = 0
@@ -49,7 +46,6 @@ class Config:
     cluster_iou_weight: float = 1.0
     loop_k_nn: int = DEFAULT_LOOP_K
     loop_lambda: float = DEFAULT_LOOP_LAMBDA
-    loop_pool_core: bool = False
     bps_a: float = 0.75
     bps_b: float = 0.25
     mps_a: float = 0.50
@@ -85,8 +81,6 @@ class Config:
                 raise ConfigError(f"{weights[0][:3]} coefficients must sum to 1 (within 1e-9)")
         if not 0.0 < self.pca_variance_threshold <= 1.0:
             raise ConfigError("pca.variance_threshold must lie in (0, 1]")
-        if self.pca_fit not in (PCA_FIT_POOLED, PCA_FIT_CORE):
-            raise ConfigError(f"pca.fit must be '{PCA_FIT_POOLED}' or '{PCA_FIT_CORE}'")
         if self.strategy not in (STRATEGY_BPS, STRATEGY_MPS):
             raise ConfigError(f"strategy must be '{STRATEGY_BPS}' or '{STRATEGY_MPS}'")
         if not self.sim_budgets or any(b < 1 for b in self.sim_budgets):
@@ -109,7 +103,7 @@ class Config:
 
 
 def config_key(field_name: str) -> str:
-    """Config-file key of a field: ``pca_fit`` -> ``pca.fit``, ``bps_a`` -> ``coeff.bps_a``."""
+    """Config-file key of a field: ``pca_components`` -> ``pca.components``, ``bps_a`` -> ``coeff.bps_a``."""
     section, _, rest = field_name.partition("_")
     if section in ("pca", "knn", "cluster", "loop", "sim"):
         return f"{section}.{rest}"
@@ -147,13 +141,6 @@ def _coerce(field_name: str, text: str):
             return int(text)
         if kind == "float":
             return float(text)
-        if kind == "bool":
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"expected a boolean, got {text!r}")
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {_KEY_OF[field_name]}: {exc}") from None

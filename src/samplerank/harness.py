@@ -118,7 +118,7 @@ def run_budget_sweep(
     params: Config = Config(),
 ) -> SweepResult:
     """Generate, score, select and evaluate for every (seed, strategy, budget)."""
-    budgets = sorted(int(b) for b in budgets)
+    budgets = sorted({int(b) for b in budgets})  # a repeated budget is one budget
     if not budgets:
         raise ValueError("need at least one budget")
     if budgets[0] < 1 or budgets[-1] > spec.ft_n:

@@ -9,8 +9,8 @@ context S(o):
     nPLOF    = lambda * sqrt( mean_o PLOF(o)^2 )
     score(o) = max(0, erf( PLOF(o) / (nPLOF * sqrt(2)) ))
 
-Scores live in [0,1] and are invariant under translation and uniform
-scaling of the point set (Kriegel et al., CIKM 2009). The context set
+The set scored is the set fitted. Scores live in [0,1] and are invariant
+under translation and uniform scaling of it (Kriegel et al., CIKM 2009).
 S(o) is the k nearest other points, ties going to the lower index; the
 scores need nothing else from the neighbourhood. The sets come from the
 exact tiled search in ``_dist``, which holds O(tile * n) memory at a time
@@ -20,12 +20,10 @@ and never the n x n distance matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._dist import nearest
-from .data import read_only
 
 DEFAULT_LOOP_K = 20
 DEFAULT_LOOP_LAMBDA = 3.0
@@ -33,21 +31,10 @@ DEFAULT_LOOP_LAMBDA = 3.0
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class LoopModel:
-    nplof: float
-    plof: np.ndarray     # (n,)
-    scores: np.ndarray   # (n,)
-
-    def __post_init__(self) -> None:
-        for name in ("plof", "scores"):
-            object.__setattr__(self, name, read_only(getattr(self, name), np.float64))
-
-
 def fit_loop(
     points: np.ndarray, k_nn: int = DEFAULT_LOOP_K, lam: float = DEFAULT_LOOP_LAMBDA
-) -> LoopModel:
-    """Score every fitted point; degenerate (all-identical) input scores 0 everywhere."""
+) -> np.ndarray:
+    """The (n,) outlier probability of every point; all-identical input scores 0 everywhere."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty (n, R) array")
@@ -60,7 +47,7 @@ def fit_loop(
         raise ValueError("lambda must be positive")
 
     if np.all(points == points[0]):
-        return LoopModel(nplof=0.0, plof=np.zeros(n), scores=np.zeros(n))
+        return np.zeros(n)
 
     neighbours, d2 = nearest(points, points, k_nn, exclude_self=True)
     sigma = np.sqrt(d2.mean(axis=1))
@@ -73,8 +60,6 @@ def fit_loop(
     )
     nplof = lam * math.sqrt(float((plof**2).mean()))
     if nplof == 0.0:
-        scores = np.zeros(n)
-    else:
-        erf = np.vectorize(math.erf)
-        scores = np.maximum(0.0, erf(plof / (nplof * math.sqrt(2.0))))
-    return LoopModel(nplof=nplof, plof=plof, scores=scores)
+        return np.zeros(n)
+    erf = np.vectorize(math.erf)
+    return np.maximum(0.0, erf(plof / (nplof * math.sqrt(2.0))))

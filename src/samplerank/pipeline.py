@@ -1,9 +1,10 @@
 """End-to-end feature computation: reduce, predict, cluster, score.
 
 The same staging serves the file-based CLI workflow and the synthetic
-benchmark: fit the reduction and clustering on the reference corpus, then
-derive per-sample features (normalised cluster distance, predicted IoU,
-outlier probability, orphan/error membership) for the unlabelled pool and
+benchmark: fit the reduction on the reference corpus plus the pool, and the
+predictor and clustering on the reference corpus, then derive per-sample
+features (normalised cluster distance, predicted IoU, outlier probability
+over the pool alone, orphan/error membership) for the unlabelled pool and
 evaluate both priority formulas.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clustering, loop, metrics, pca
-from .config import PCA_FIT_POOLED, Config, config_key
+from .config import Config, config_key
 from .data import Corpus
 from .scoring import Scores, score_all
 
@@ -41,12 +42,12 @@ def _count(params: Config, name: str, bound: int, of: str) -> int | None:
 def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(), seed: int = 0) -> FittedModels:
     """Fit reduction + IoU predictor + clusters (core and error) on the reference corpus.
 
-    The reduction is fitted on pooled core and fine-tuning vectors by
-    default; ``params.pca_fit='core'`` restricts it to the reference corpus.
+    The reduction is fitted on the core and the pool together, or on the
+    core alone when *finetune* is None.
     A count of 0 in *params* (PCA rank, cluster counts) selects the stage's
     default rule.
     """
-    pooled = finetune.records if params.pca_fit == PCA_FIT_POOLED and finetune is not None else ()
+    pooled = finetune.records if finetune is not None else ()
     fit_matrix = np.stack([rec.vector for rec in core.records + pooled])  # float32, one allocation
     core_vectors = fit_matrix[: len(core)]  # a view: no second copy of the core rows
     r = _count(params, "pca_components", min(fit_matrix.shape), "smaller of the fit's vector count and dimension")
@@ -83,18 +84,9 @@ def score_finetune(
     k_ft = _count(params, "cluster_k_ft", len(finetune), "fine-tuning sample count")
     report = clustering.detect_orphans(models.clusters, ft_points, k_ft=k_ft, seed=seed_ft)
 
-    # outlier probabilities over the pool itself; optionally the reference
-    # points join the density estimate
-    if params.loop_pool_core:
-        loop_points = np.vstack([ft_reduced, models.predictor.points])
-    else:
-        loop_points = ft_reduced
-    k_nn = min(params.loop_k_nn, loop_points.shape[0] - 1)
-    if k_nn >= 1:
-        loop_model = loop.fit_loop(loop_points, k_nn=k_nn, lam=params.loop_lambda)
-        outlier_scores = loop_model.scores[: len(finetune)]
-    else:
-        outlier_scores = np.zeros(len(finetune))
+    # outlier probabilities over the pool itself
+    k_nn = min(params.loop_k_nn, len(finetune) - 1)  # 0 for a single sample, which scores 0
+    outlier_scores = loop.fit_loop(ft_reduced, k_nn, params.loop_lambda) if k_nn else np.zeros(len(finetune))
 
     return score_all(
         ids=finetune.ids,

@@ -132,22 +132,22 @@ def test_criterion_5_pca_properties():
 def test_criterion_6_loop_fixture():
     grid = np.array([[i, j] for i in range(10) for j in range(10)], dtype=float)
     points = np.vstack([grid, [[180.0, 180.0]]])
-    model = fit_loop(points, k_nn=10, lam=3.0)
+    scores = fit_loop(points, k_nn=10, lam=3.0)
 
-    outlier_high = model.scores[100] > 0.95
-    grid_median_low = float(np.median(model.scores[:100])) < 0.3
-    in_range = bool(np.all((model.scores >= 0.0) & (model.scores <= 1.0)))
+    outlier_high = scores[100] > 0.95
+    grid_median_low = float(np.median(scores[:100])) < 0.3
+    in_range = bool(np.all((scores >= 0.0) & (scores <= 1.0)))
 
     invariant = True
     for factor, shift in ((2.0, 128.0), (0.5, -64.0)):
         moved = fit_loop(points * factor + shift, k_nn=10, lam=3.0)
-        invariant &= bool(np.max(np.abs(moved.scores - model.scores)) <= 1e-9)
+        invariant &= bool(np.max(np.abs(moved - scores)) <= 1e-9)
 
     _check(
         6,
         "outlier probability fixture and transform invariance",
         outlier_high and grid_median_low and in_range and invariant,
-        f"outlier={model.scores[100]:.4f}, grid median={np.median(model.scores[:100]):.4f}",
+        f"outlier={scores[100]:.4f}, grid median={np.median(scores[:100]):.4f}",
     )
 
 

@@ -274,6 +274,29 @@ class TestInputErrors:
         assert "pool.csv: line 4: not UTF-8" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("n_core, n_pool, message", [
+        (1, 0, "need at least 2 vectors to fit"),
+        (12, 0, "zero total variance: all vectors are identical"),
+        (12, 9, "zero total variance: all vectors are identical"),
+    ])
+    def test_fit_data_error_exits_2_naming_the_fitted_files(self, tmp_path, capsys, n_core, n_pool, message):
+        vector = np.full(4, 0.5, np.float32)
+        core = Corpus(tuple(EmbeddingRecord(id=i, split="core", vector=vector, measured_iou=0.7)
+                            for i in range(n_core)))
+        save_embeddings(core, tmp_path / "core.emb", "binary")
+        args = ["--out-dir", str(tmp_path), "fit", "--core", str(tmp_path / "core.emb")]
+        fitted = str(tmp_path / "core.emb")
+        if n_pool:
+            pool = Corpus(tuple(EmbeddingRecord(id=100 + i, split="finetune", vector=vector)
+                                for i in range(n_pool)))
+            save_embeddings(pool, tmp_path / "pool.emb", "binary")
+            args += ["--finetune", str(tmp_path / "pool.emb")]
+            fitted += f" and {tmp_path / 'pool.emb'}"
+        assert main(args) == 2
+        assert f"samplerank: error: {message} (fitting {fitted})" in capsys.readouterr().err
+        assert not (tmp_path / "pca.bin").exists()
+
+
 class TestSimulate:
     def test_outputs_and_row_count(self, tmp_path):
         cfg = _sim_config(tmp_path)
@@ -289,6 +312,17 @@ class TestSimulate:
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 0
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+
+    def test_repeated_budget_is_swept_once(self, tmp_path):
+        cfg = _sim_config(tmp_path, **{"sim.budgets": "50,50,100"})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 2 * 2  # strategies x distinct budgets x seeds
+        assert len(set(lines)) == len(lines)
+        sweep = str(tmp_path / "out" / "sweep.csv")
+        assert main(["--out-dir", str(tmp_path / "report"), "report", "--sweep", sweep]) == 0
+        for name in ("summary.txt", "aggregates.csv"):
+            assert (tmp_path / "report" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     def test_budget_beyond_pool_is_usage_error(self, tmp_path, capsys):
         cfg = _sim_config(tmp_path, **{"sim.budgets": "250,999"})
@@ -392,6 +426,16 @@ class TestUsageAndConfig:
         with pytest.raises(SystemExit) as info:
             main(["--bogus"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("line", ["pca.fit = core", "loop.pool_core = true"])
+    def test_former_path_switch_is_unknown_key(self, embedding_files, tmp_path, capsys, line):
+        core, ft = embedding_files
+        path = tmp_path / "old.cfg"
+        path.write_text(line + "\n")
+        args = ["--config", str(path), "--out-dir", str(tmp_path), "fit", "--core", str(core), "--finetune", str(ft)]
+        assert main(args) == 1
+        assert f"unknown key {line.split(' = ')[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "pca.bin").exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -22,10 +22,10 @@ README = ROOT / "README.md"
 # the user-facing config keys, in dump order; a field rename must not change them
 KEYS = [
     "core_embeddings", "finetune_embeddings", "out_dir",
-    "pca.components", "pca.variance_threshold", "pca.fit",
+    "pca.components", "pca.variance_threshold",
     "knn.k",
     "cluster.k", "cluster.k_err", "cluster.k_ft", "cluster.iou_weight",
-    "loop.k_nn", "loop.lambda", "loop.pool_core",
+    "loop.k_nn", "loop.lambda",
     "coeff.bps_a", "coeff.bps_b", "coeff.mps_a", "coeff.mps_b", "coeff.mps_c", "coeff.mps_d",
     "strategy", "seed",
     "sim.dims", "sim.core_n", "sim.ft_n", "sim.outlier_fraction", "sim.novel_sizes",
@@ -77,11 +77,11 @@ class TestParsing:
         values = parse_config_text("sim.novel_sizes = 5,9\n")
         assert values["sim_novel_sizes"] == (5, 9)
 
-    def test_bool_key(self):
-        assert parse_config_text("loop.pool_core = true\n")["loop_pool_core"] is True
-        assert parse_config_text("loop.pool_core = False\n")["loop_pool_core"] is False
-        with pytest.raises(ConfigError, match="boolean"):
-            parse_config_text("loop.pool_core = maybe\n")
+    @pytest.mark.parametrize("line", ["pca.fit = core\n", "loop.pool_core = true\n"])
+    def test_former_path_switches_are_unknown_keys(self, line):
+        # the PCA fit follows the data given to fit, and LoOP always scores the pool
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -17,7 +17,6 @@ from samplerank.data import (
     load_embeddings,
     save_embeddings,
 )
-from samplerank.loop import LoopModel
 from samplerank.metrics import IouPredictor
 from samplerank.pca import PcaModel
 from samplerank.scoring import Scores
@@ -268,7 +267,6 @@ def _record_cases():
             "centroids": np.zeros((2, 3)), "feature_mean": np.zeros(2), "feature_scale": np.ones(2),
             "member_count": np.array([3, 4], np.int64), "p95_radius": np.ones(2),
             "is_error": np.array([False, True])}),
-        "LoopModel": (LoopModel, {"nplof": 1.0}, {"plof": column.copy(), "scores": column.copy()}),
         "Scores": (Scores, {}, {"ids": np.arange(3, dtype=np.uint64),
                                 **{name: column.copy() for name in
                                    ("dist", "pred_iou", "loop", "orph", "err", "bps", "mps")}}),

@@ -36,6 +36,13 @@ GOLDEN = {
     "rank-24/iou_refs.bin": "bac9224f6ed6ae26e3632c7b7f0c45f2f7f8e2fe06569df4c24f784322ebcc54",
     "rank-24/queue_bps.csv": "01c8459369fe5e1a294b4ac623229f434204740eac28d76ce72f3385d9e77f7c",
     "rank-24/queue_mps.csv": "c358ba1de397d1fa4b681ec55c5d1cfb2879e0025069c0aa10958904c1b1cb77",
+    # the small instance fitted on the core alone; recorded from the former
+    # `pca.fit = core` option with the pool given, now a fit with no pool
+    "core-only/pca.bin": "ce4005d9d35b844f58b58186deecf4eb6e9066d1135508861ca3d6b0fb9e8a2b",
+    "core-only/clusters.bin": "e0a41df608f7ad512763e0fd0e1989e5447672281cc934b3f6d10cf9fcb1feb2",
+    "core-only/iou_refs.bin": "9ba2668efaa32a30ee119ca62b5d47160a0271def951d7e7a76d4438c5d43371",
+    "core-only/queue_bps.csv": "bc24fc9d867f0162e0096bf0d910f28065aeae224fe9c9b2380c9ec85bc0d1e6",
+    "core-only/queue_mps.csv": "7e4a6f5aac6a24450cc832af2dd8fa3562cc139dafa28e3fe13d0dc1c8af04d1",
 }
 
 _SIM_CONFIG = """\
@@ -52,8 +59,11 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _fit_and_rank(root, spec, *options):
-    """Digests of the model files of a pooled fit and of the bps and mps queues ranked with them."""
+def _fit_and_rank(root, spec, *options, pooled=True):
+    """Digests of the model files of a fit and of the bps and mps queues ranked with them.
+
+    The fit is given the pool unless *pooled* is false; ranking always scores it.
+    """
     root.mkdir()
     core, pool, _ = generate_synthetic(spec)
     save_embeddings(core, root / "core.emb")
@@ -62,7 +72,8 @@ def _fit_and_rank(root, spec, *options):
     models = root / "models"
     pool_path = str(root / "pool.emb")
     run = [*options, "--seed", "5", "--out-dir", str(models)]
-    assert main([*run, "fit", "--core", str(root / "core.emb"), "--finetune", pool_path]) == 0
+    fit_pool = ["--finetune", pool_path] if pooled else []
+    assert main([*run, "fit", "--core", str(root / "core.emb"), *fit_pool]) == 0
     digests = {name: _sha256(models / name) for name in ("pca.bin", "clusters.bin", "iou_refs.bin")}
     for strategy in ("bps", "mps"):
         assert main([*run, "rank", "--finetune", pool_path, "--strategy", strategy]) == 0
@@ -76,6 +87,8 @@ def outputs(tmp_path_factory):
     spec = replace(default_spec(seed=13), core_n=300, ft_n=360,
                    novel_clusters=(NovelClusterSpec(size=25), NovelClusterSpec(size=45)))
     digests = _fit_and_rank(root / "small", spec)
+    for name, digest in _fit_and_rank(root / "core-only", spec, pooled=False).items():
+        digests[f"core-only/{name}"] = digest
 
     config = root / "rank-24.cfg"
     config.write_text("pca.components = 24\n")
