@@ -221,11 +221,8 @@ def fit_core_clusters(
     )
 
 
-def classify_batch(
-    model: ClusterModel, reduced: np.ndarray, ious: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest non-error centroid of every sample: (cluster ids, raw distances)."""
-    points = model.augment(reduced, ious)
+def classify_batch(model: ClusterModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest non-error centroid of every ``model.augment`` output row: (cluster ids, raw distances)."""
     core = model.core_indices
     best, d2 = map(np.ravel, nearest(points, model.centroids[core]))
     return core[best], np.sqrt(d2)

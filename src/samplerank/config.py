@@ -127,7 +127,9 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
         start, stop, step = (int(p) for p in parts)
         if step < 1:
             raise ValueError("range step must be positive")
-        return tuple(range(start, stop + 1, step))
+        if not (values := tuple(range(start, stop + 1, step))):
+            raise ValueError(f"range {text!r} is empty")
+        return values
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 

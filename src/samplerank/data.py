@@ -1,4 +1,4 @@
-"""Domain types and file IO for embedding corpora, plus the in-memory binary mask.
+r"""Domain types and file IO for embedding corpora, plus the in-memory binary mask.
 
 Embeddings travel in two interchangeable encodings:
 
@@ -6,10 +6,11 @@ Embeddings travel in two interchangeable encodings:
   split flag for the whole file (0=core, 1=finetune), then per record:
   u64-LE id, f32 measured IoU (NaN when absent), and the f32 vector.
 * CSV — header ``id,split,iou,v0,...,v{D-1}``, then one record per line;
-  an empty iou field means absent; floats written with 9 significant
-  digits. Fields are never quoted (no field can hold a comma or a quote),
-  so the reader takes a line's commas as its field separators and rejects
-  any quote character. numpy parses all vector columns in one pass.
+  a line ends at ``\n``, ``\r\n`` or ``\r`` and at nothing else; an empty
+  iou field means absent; floats written with 9 significant digits. Fields
+  are never quoted (no field can hold a comma or a quote), so the reader
+  takes a line's commas as its field separators and rejects any quote
+  character. numpy parses all vector columns in one pass.
 
 Masks are never read from files: ``BinaryMask`` lives in memory, for ``metrics.iou``.
 """
@@ -276,17 +277,17 @@ def _decode_utf8(path, blob: bytes) -> str:
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = blob.count(b"\n", 0, exc.start) + 1
+        line = len(blob[: exc.start + 1].splitlines())  # lines end as records do
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_csv(path, blob: bytes) -> Corpus:
-    plain = blob.isascii() and not any(c in blob for c in b"\v\f\x1c\x1d\x1e")  # bytes and str split lines alike
-    text = None if plain else _decode_utf8(path, blob)  # ASCII is valid UTF-8; fields decode one by one below
+    if not blob.isascii():  # ASCII is valid UTF-8; fields decode one by one below
+        _decode_utf8(path, blob)
     if b'"' in blob:
-        line = blob.count(b"\n", 0, blob.index(b'"')) + 1
+        line = len(blob[: blob.index(b'"') + 1].splitlines())
         raise DataFormatError(f"{path}: line {line}: quoted field; records are unquoted, one per line")
-    lines = blob.splitlines() if plain else [line.encode() for line in text.splitlines()]
+    lines = blob.splitlines()  # records end at \n, \r\n or \r and at nothing else
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].decode().split(",")

@@ -57,7 +57,7 @@ def surrogate_quality(labeled_ids, ft_corpus: Corpus, truth: GroundTruth) -> flo
 
 
 def _coverage(vectors: np.ndarray, truth: GroundTruth, order: np.ndarray, budgets) -> list[float]:
-    """Coverage quality of each nested prefix ``order[:budget]``, budgets ascending.
+    """Coverage quality of each nested prefix ``order[:budget]``, budgets distinct and ascending.
 
     Adding points in selection order and updating on strictly smaller
     distance gives every prefix the same nearest selected sample as one
@@ -70,12 +70,11 @@ def _coverage(vectors: np.ndarray, truth: GroundTruth, order: np.ndarray, budget
     qualities, consumed = [], 0
     for budget in budgets:
         step, consumed = order[consumed:budget], budget
-        if step.size:
-            chunk_best, chunk_d2 = map(np.ravel, nearest(vectors, vectors[step]))
-            better = chunk_d2 < best_d2
-            best_d2[better] = chunk_d2[better]
-            best_hidden[better] = hidden[step[chunk_best[better]]]
-            del chunk_best, chunk_d2, better  # held into the next search, they would raise its peak
+        chunk_best, chunk_d2 = map(np.ravel, nearest(vectors, vectors[step]))
+        better = chunk_d2 < best_d2
+        best_d2[better] = chunk_d2[better]
+        best_hidden[better] = hidden[step[chunk_best[better]]]
+        del chunk_best, chunk_d2, better  # held into the next search, they would raise its peak
         qualities.append(float((best_hidden == hidden)[evaluated].mean()))
     return qualities
 

@@ -46,9 +46,6 @@ def fit_loop(
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
 
-    if np.all(points == points[0]):
-        return np.zeros(n)
-
     neighbours, d2 = nearest(points, points, k_nn, exclude_self=True)
     sigma = np.sqrt(d2.mean(axis=1))
     pdist = lam * sigma

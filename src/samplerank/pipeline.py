@@ -77,9 +77,8 @@ def score_finetune(
     ft_reduced = pca.transform_batch(models.reduction, finetune.vectors())
     pred_ious = metrics.predict_iou_batch(models.predictor, ft_reduced)
 
-    _, raw_dist = clustering.classify_batch(models.clusters, ft_reduced, pred_ious)
-
     ft_points = models.clusters.augment(ft_reduced, pred_ious)
+    _, raw_dist = clustering.classify_batch(models.clusters, ft_points)
     (seed_ft,) = _subseeds(seed, 3)[2:]
     k_ft = _count(params, "cluster_k_ft", len(finetune), "fine-tuning sample count")
     report = clustering.detect_orphans(models.clusters, ft_points, k_ft=k_ft, seed=seed_ft)

@@ -26,8 +26,11 @@ from .data import Corpus, EmbeddingRecord, SPLIT_CORE, SPLIT_FINETUNE, read_only
 OUTLIER_HIDDEN_ID = -1
 
 _NOVEL_CLEARANCE_SIGMAS = 10.0
+_NOVEL_DISTANCE = 13.0  # the first novel center's distance from the origin
+_NOVEL_SEPARATION = 3.0  # each further novel center's step from the one before
 _OUTLIER_BOX_SPANS = 20.0
-_MIN_ACCEPTANCE = 1e-4  # share of draws within truncate_sigma; below it the redraws take over a minute
+_TRUNCATE_SIGMA = 4.5  # every drawn offset lies within this many standard deviations
+_MIN_ACCEPTANCE = 1e-4  # share of draws within _TRUNCATE_SIGMA; below it the redraws take over a minute
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,13 @@ class SyntheticSpec:
     core_n: int = 2000
     ft_n: int = 2200
     seed: int = 42
-    novel_distance: float = 13.0
-    novel_separation: float = 3.0
-    truncate_sigma: float = 4.5
 
     def __post_init__(self) -> None:
         if self.dims < 1:
             raise ValueError("dims must be positive")
-        if (kept := _within_radius(self.dims, self.truncate_sigma)) < _MIN_ACCEPTANCE:
+        if (kept := _within_radius(self.dims, _TRUNCATE_SIGMA)) < _MIN_ACCEPTANCE:
             raise ValueError(f"dims = {self.dims} keeps only {kept:.1e} of draws within "
-                             f"truncate_sigma = {self.truncate_sigma}, below {_MIN_ACCEPTANCE:g}")
+                             f"{_TRUNCATE_SIGMA} sigma, below {_MIN_ACCEPTANCE:g}")
         for name in ("core_n", "ft_n"):  # _largest_remainder is exact in float64 to 2**53
             if not 1 <= getattr(self, name) <= 2**53:
                 raise ValueError(f"{name} must lie in [1, 2**53]")
@@ -136,9 +136,6 @@ def default_spec(seed: int = 42, dims: int = 8) -> SyntheticSpec:
                             iou_stddev=0.04, weight=0.10),
         ),
         novel_clusters=(NovelClusterSpec(size=60), NovelClusterSpec(size=140)),
-        outlier_fraction=0.02,
-        core_n=2000,
-        ft_n=2200,
         seed=seed,
     )
 
@@ -161,10 +158,8 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     weights = weights / weights.sum()
     raw = weights * total
     counts = np.floor(raw).astype(int)
-    short = total - counts.sum()
-    if short > 0:
-        order = np.lexsort((np.arange(weights.size), -(raw - counts)))
-        counts[order[:short]] += 1
+    order = np.lexsort((np.arange(weights.size), -(raw - counts)))
+    counts[order[: total - counts.sum()]] += 1  # the largest remainders take what flooring left over
     return counts
 
 
@@ -191,7 +186,7 @@ def _place_novel_centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.nd
     """Novel centers near one seeded anchor direction, clear of every core mode.
 
     The clusters form one novel neighbourhood (separated by
-    ``novel_separation`` around an anchor at ``novel_distance``), the way
+    ``_NOVEL_SEPARATION`` around an anchor at ``_NOVEL_DISTANCE``), the way
     genuinely new content tends to occupy its own region of latent space
     rather than scatter; every center keeps the required clearance from
     every core mode.
@@ -210,18 +205,16 @@ def _place_novel_centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.nd
     for j, _ in enumerate(spec.novel_clusters):
         for _attempt in range(1000):
             if j == 0:
-                candidate = spec.novel_distance * unit(rng.standard_normal(spec.dims))
+                candidate = _NOVEL_DISTANCE * unit(rng.standard_normal(spec.dims))
             else:
-                candidate = centers[j - 1] + spec.novel_separation * unit(
-                    rng.standard_normal(spec.dims)
-                )
+                candidate = centers[j - 1] + _NOVEL_SEPARATION * unit(rng.standard_normal(spec.dims))
             if clear_of_core(candidate):
                 centers.append(candidate)
                 break
         else:
             raise ValueError(
                 "could not place novel clusters clear of core modes; "
-                "increase novel_distance or reduce cluster count"
+                "move or narrow the core modes, or plant fewer novel clusters"
             )
     return np.array(centers) if centers else np.zeros((0, spec.dims))
 
@@ -232,7 +225,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, Corpus, GroundTruth
     modes = spec.core_clusters
 
     def draw(center, stddev: float, n: int) -> np.ndarray:
-        return np.asarray(center) + stddev * _truncated_gaussian(rng, n, spec.dims, spec.truncate_sigma)
+        return np.asarray(center) + stddev * _truncated_gaussian(rng, n, spec.dims, _TRUNCATE_SIGMA)
 
     # reference corpus
     core_vectors, core_ious = [], []

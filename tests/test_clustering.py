@@ -104,7 +104,7 @@ class TestCoreClusterFit:
         model_lo = fit_core_clusters(reduced, np.full(90, 0.2), k=3, seed=9)
         model_hi = fit_core_clusters(reduced, np.full(90, 0.9), k=3, seed=9)
         for model, iou_value in ((model_lo, 0.2), (model_hi, 0.9)):
-            fitted, _ = classify_batch(model, reduced, np.full(90, iou_value))
+            fitted, _ = classify_batch(model, model.augment(reduced, np.full(90, iou_value)))
             assert _partition(fitted) == _partition(plain_labels)
 
     def test_iou_weight_must_be_positive(self):
@@ -125,18 +125,20 @@ class TestClassify:
         )
 
     def test_exact_centroid_gives_zero_distance(self):
-        ids, dists = classify_batch(self._simple_model(), np.array([[2.0]]), np.array([0.5]))
+        model = self._simple_model()
+        ids, dists = classify_batch(model, model.augment(np.array([[2.0]]), np.array([0.5])))
         assert ids.tolist() == [1] and dists.tolist() == [0.0]
 
     def test_tie_goes_to_lowest_index(self):
-        ids, _ = classify_batch(self._simple_model(), np.array([[1.0]]), np.array([0.5]))
+        model = self._simple_model()
+        ids, _ = classify_batch(model, model.augment(np.array([[1.0]]), np.array([0.5])))
         assert ids.tolist() == [0]
 
     def test_blob_point_lands_in_nearest_blob(self):
         rng = np.random.default_rng(6)
         reduced = _blobs(rng, [(0, 0), (10, 10)], 50)
         model = fit_core_clusters(reduced, np.full(100, 0.8), k=2, seed=4)
-        (near_ten,), _ = classify_batch(model, np.array([[9.0, 9.0]]), np.array([0.8]))
+        (near_ten,), _ = classify_batch(model, model.augment(np.array([[9.0, 9.0]]), np.array([0.8])))
         raw = model.centroids[near_ten, :-1] * model.feature_scale + model.feature_mean
         assert np.linalg.norm(raw - np.array([10, 10])) < 1.0
 
@@ -145,7 +147,7 @@ class TestClassify:
         reduced = _blobs(rng, [(0, 0), (8, 8)], 40)
         ious = rng.uniform(0.6, 0.9, 80)
         model = fit_core_clusters(reduced, ious, k=2, seed=5)
-        ids, dists = classify_batch(model, reduced, ious)
+        ids, dists = classify_batch(model, model.augment(reduced, ious))
         for row, point in enumerate(model.augment(reduced, ious)):
             d2 = ((model.centroids - point) ** 2).sum(axis=1)
             assert ids[row] == int(d2.argmin())
@@ -235,7 +237,7 @@ class TestErrorClusters:
         ious = np.array([0.2, 0.3, 0.9, 0.9])
         model = fit_core_clusters(reduced, ious, k=2, seed=3)
         folded = fit_error_clusters(model, reduced, ious, k_err=2, seed=3)
-        ids, _ = classify_batch(folded, reduced, ious)
+        ids, _ = classify_batch(folded, folded.augment(reduced, ious))
         assert not folded.is_error[ids].any()
 
 

@@ -15,6 +15,7 @@ from samplerank.data import (
     DataFormatError,
     EmbeddingRecord,
     load_embeddings,
+    read_utf8,
     save_embeddings,
 )
 from samplerank.metrics import IouPredictor
@@ -245,6 +246,31 @@ class TestCsvLoader:
         path.write_text("\n".join(lines) + "\n")
         assert main(["--out-dir", str(tmp_path), "fit", "--core", str(path)]) == 2
         assert f"{path}: line 3: quoted field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("separator", ["\v", "\u2028"], ids=["vertical-tab", "line-separator"])
+    def test_only_newlines_end_records(self, tmp_path, capsys, separator):
+        path = tmp_path / "c.csv"
+        path.write_bytes(f"id,split,iou,v0,v1\n1,core,0.5,0,1{separator}2,core,0.5,1,0\n".encode())
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(path)]) == 2
+        assert f"{path}: record 0: expected 5 fields, got 9" in capsys.readouterr().err
+
+    def test_form_feed_next_to_a_number_is_whitespace(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"id,split,iou,v0\n1\f,finetune,,0.5\v\n")
+        (rec,) = load_embeddings(path)
+        assert rec.id == 1 and rec.vector.tolist() == [0.5]
+
+    @pytest.mark.parametrize("read, blob, message", [
+        (load_embeddings, b'id,split,iou,v0\r1,finetune,,0.5\r2,finetune,,"1"\r', "line 3: quoted field"),
+        (load_embeddings, b'id,split,iou,v0\r\n1,finetune,,0.5\r\n2,finetune,,"1"\r\n', "line 3: quoted field"),
+        (load_embeddings, b"id,split,iou,v0\n1,finetune,,0.5\r2,finetune,,\xff1\r", "line 3: not UTF-8"),
+        (read_utf8, b"strategy,budget,seed,quality\rrandom,10,1,0.5\rrandom,20,1,\xff\r", "line 3: not UTF-8"),
+    ], ids=["quote-cr", "quote-crlf", "utf8-cr", "sweep-utf8-cr"])
+    def test_error_line_counts_every_line_end(self, tmp_path, read, blob, message):
+        path = tmp_path / "c.csv"
+        path.write_bytes(blob)
+        with pytest.raises(DataFormatError, match=f"c.csv: {message}"):
+            read(path)
 
 
 class TestMasks:
