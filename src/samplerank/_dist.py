@@ -4,71 +4,73 @@ Distances come from explicit coordinate differences, not the norm-expansion
 trick: identical points must give exactly zero (the IoU predictor's
 zero-distance rule and the coverage oracle's self-matching rely on it), and
 every caller must see the same bits for the same pair of points. The kernel
-never forms the (len(a), len(b), d) difference block: it squares one
-(len(a), len(b)) buffer per coordinate and adds the buffers in coordinate
-order, in O(len(a) * len(b)) memory. Its bits depend on no numpy internals:
-they equal ``sum((a[:, None, j] - b[None, :, j]) ** 2 for j in range(d))``
-(``tests/test_dist.py`` checks them). In-order summation's error bound,
-(d - 1) * eps, is as immaterial at the kernel's d (a PCA rank of at most 32,
-plus an IoU coordinate) as pairwise summation's ceil(log2 d) * eps (Higham,
-SIAM J. Sci. Comput. 14, 1993).
+squares one difference per coordinate and adds the squares in coordinate
+order, so its bits equal ``sum((a[:, None, j] - b[None, :, j]) ** 2 for j in
+range(d))`` (``tests/test_dist.py`` checks them) and depend on no numpy
+internals.
 
-The terms run with numpy's ufunc buffer no longer than a row: ``len(b)``
-rounded down to a multiple of 16, within [16, 8192], and the caller's size
-restored after (``np.setbufsize`` in ``try/finally``; ``np.errstate``
-restores it only on numpy 2). With a longer buffer numpy 2.4 copies the
-stride-0 operands of ``np.subtract.outer`` into it: 1.0-1.6 ns per element
-against 0.23-0.35 (2-vCPU VM), half the kernel's time on 28 x 2,200 LoOP
-tiles. So k=1 against a *b* shorter than a tile runs as (len(b), tile)
-blocks, the tile in column order, and an argmin down each column: the bits
-and ties are the same, as ``(b - a) ** 2`` equals ``(a - b) ** 2`` exactly.
+``nearest`` takes two stages per tile of query rows.
+- Screen: one BLAS product gives ``g_ij = |b_j|^2 - 2 a_i.b_j`` for the
+  tile against all of *b*; a row's own ``|a_i|^2`` shifts the whole row, so
+  it is never added. ``np.partition`` of a reused copy gives each row's k-th
+  value t_i, and ``np.flatnonzero`` of the mask ``g_ij <= t_i + s_i`` the
+  candidates. On 7 x 8,800, 32 x 2,000 and 655 x 100 tiles these took
+  2.1-3.6 and 0.3-0.4 ns per entry, where ``argpartition`` and a 2-D
+  ``nonzero`` took 3.1-8.4 and 3.3-3.8 (2-vCPU VM).
+- Confirmation: the kernel gives the candidates' distances, sorted by
+  (distance, index) per row.
 
-``nearest`` lends the kernel one list of spare term buffers per call and
-reuses them for every tile (``out=``): fresh buffers land on fresh pages
-when the C heap was just trimmed (a first LoOP-sized scan took 2.9 s, 1.7 s
-warm; 2-vCPU VM). No reference cycle holds the list, so it is freed on return.
+The slack ``s_i = 16 (d + 2) eps (|a_i|^2 + max_j |b_j|^2)`` is four times a
+bound on twice the gap between ``g_ij + |a_i|^2`` and the kernel, so the
+result is exact. With u = eps / 2 and gamma_n = n u / (1 - n u) (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, §3.1), and
+S = |a_i|^2 + |b_j|^2:
+- the product errs by at most gamma_d sum_k |2 a_k b_k| <= gamma_d S in any
+  summation order, ``|b|^2`` by gamma_d |b|^2 and the last addition by
+  u |g| <= 2 u S: (d + 1) eps S to first order;
+- the kernel's d rounded squares, added in order, err by at most
+  gamma_(d+2) times their sum, which is at most 2 S: (d + 2) eps S.
+The k columns with ``g_ij <= t_i`` have kernel values within one gap of
+``t_i + |a_i|^2``, so the k-th kernel value is too, and any column at or
+below it has ``g_ij <= t_i + 2 gap``. The bound is absolute: it holds while
+no sum of squares overflows (|x| far below 1e154) and products underflow
+only far below the slack (unless every point lies within 1e-145 of the
+origin). The inputs are float32 embeddings (|x| < 3.4e38), their PCA
+projections and centroids.
+
+A tile holds ``_TILE`` screen entries in two float64 buffers reused from
+tile to tile (the second also orders the candidates), so a search holds
+O(len(a) + len(b) + _TILE) memory besides its result.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
-_CHUNK_BUDGET = 500_000  # query rows per tile = this // b.size
+_TILE = 2**16  # screen entries per tile: query rows = _TILE // len(b)
 
 
-def sq_dist_matrix(a: np.ndarray, b: np.ndarray, spare: list | None = None) -> np.ndarray:
-    """(len(a), len(b)) matrix of squared distances between row vectors.
-
-    Term buffers come from *spare*, flat float64 arrays of at least
-    ``len(a) * len(b)`` entries, and go back to it once added. The result
-    is a view of one such array, its ``.base``.
-    """
+def _checked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"points of dimension {a.shape[1]} against {b.shape[1]}")
-    size = len(a) * len(b)
-    if a.shape[1] == 0:
-        return np.zeros(size).reshape(len(a), len(b))
-    spare = [] if spare is None else spare
-    old = np.setbufsize(min(8192, max(16, len(b) - len(b) % 16)))  # no longer than a row
+    return a, b
 
-    def term(j):  # squared differences in coordinate j, in a buffer of its own
-        t = (spare.pop() if spare else np.empty(size))[:size].reshape(len(a), len(b))
-        np.subtract.outer(a[:, j], b[:, j], out=t)
-        return np.multiply(t, t, out=t)
 
-    def add(s, t):
-        s += t
-        spare.append(t.base)
-        return s
+def _in_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum((x[..., j] - y[..., j]) ** 2), x and y broadcast, added in coordinate order."""
+    s = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for j in range(x.shape[-1]):
+        t = x[..., j] - y[..., j]
+        s += np.multiply(t, t, out=t)
+    return s
 
-    try:
-        return reduce(add, map(term, range(a.shape[1])))
-    finally:
-        np.setbufsize(old)
+
+def sq_dist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) matrix of squared distances between row vectors."""
+    a, b = _checked(a, b)
+    return _in_order(a[:, None], b[None])
 
 
 def nearest(
@@ -77,40 +79,39 @@ def nearest(
     """Indices into *b* of the k nearest rows to each row of *a*, and their squared distances.
 
     Both are (len(a), k), nearest first, ties toward the lower index: exactly
-    ``argsort(sq_dist_matrix(a, b), kind="stable")[:, :k]``. The scan is exact
-    and never holds that matrix, only one tile of query rows against all of
-    *b* (O(tile * len(b)) memory). ``exclude_self`` treats *a* and *b* as one
-    point set and skips each row's own index. Inputs must be finite.
+    ``argsort(sq_dist_matrix(a, b), kind="stable")[:, :k]``, without holding
+    that matrix. ``exclude_self`` treats *a* and *b* as one point set and
+    skips each row's own index. Inputs must be finite.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asfortranarray(b, dtype=np.float64)  # contiguous columns for the kernel
+    a, b = _checked(a, b)
+    m, d = b.shape
     idx = np.empty((len(a), k), dtype=np.intp)
     d2 = np.empty((len(a), k))
-    tile = max(1, _CHUNK_BUDGET // max(1, b.size))
-    flip = k == 1 and not exclude_self and len(b) < tile  # long kernel rows: (len(b), tile)
-    spare = []  # term buffers reused from tile to tile, freed on return
+    b_sq = np.einsum("ij,ij->i", b, b)
+    slack = 16 * (d + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", a, a) + b_sq.max(initial=0))
+    tile = max(1, min(len(a), _TILE // max(1, m)))
+    screen, part = np.empty(tile * m), np.empty(tile * m)
     for start in range(0, len(a), tile):
-        q = np.asfortranarray(a[start : start + tile]) if flip else a[start : start + tile]
-        d = sq_dist_matrix(b, q, spare).T if flip else sq_dist_matrix(q, b, spare)
+        q = a[start : start + tile]
+        g = screen[: len(q) * m].reshape(len(q), m)
+        np.matmul(q * -2, b.T, out=g)
+        g += b_sq
         if exclude_self:
-            d[np.arange(len(d)), np.arange(start, start + len(d))] = np.inf
-        if k == 1:
-            best = d.argmin(axis=1)[:, None]  # argmin takes the lowest index on ties
-        else:
-            best = np.argpartition(d, k - 1, axis=1)[:, :k]
-            kth = np.take_along_axis(d, best[:, k - 1 :], axis=1)
-            # rows where values equal to the k-th straddle the cut keep those below
-            # it plus the lowest-index ones tied with it
-            fix = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > k)
-            sub, cut = d[fix], kth[fix]
-            tied = sub == cut
-            room = k - np.count_nonzero(sub < cut, axis=1, keepdims=True)
-            keep = (sub < cut) | (tied & (np.cumsum(tied, axis=1) <= room))
-            best[fix] = np.nonzero(keep)[1].reshape(-1, k)
-            best.sort(axis=1)
-            order = np.argsort(np.take_along_axis(d, best, axis=1), axis=1, kind="stable")
-            best = np.take_along_axis(best, order, axis=1)
-        idx[start : start + tile] = best
-        d2[start : start + tile] = np.take_along_axis(d, best, axis=1)
-        spare.append(d.base)
+            g[np.arange(len(q)), np.arange(start, start + len(q))] = np.inf
+        t = part[: g.size].reshape(g.shape)
+        np.copyto(t, g)
+        t.partition(k - 1, axis=1)
+        cut = t[:, k - 1 : k] + slack[start : start + len(q), None]
+        rows, cols = np.divmod(np.flatnonzero(g <= cut), m)
+        exact = _in_order(q.take(rows, axis=0), b.take(cols, axis=0))
+        if exclude_self:
+            exact[cols == rows + start] = np.inf
+        counts = np.bincount(rows, minlength=len(q))
+        first = np.cumsum(counts) - counts  # each row's candidates, in index order
+        pad = part[: len(q) * counts.max()].reshape(len(q), -1)
+        pad.fill(np.inf)
+        pad[rows, np.arange(len(rows)) - first[rows]] = exact
+        best = pad.argsort(axis=1, kind="stable")[:, :k]
+        idx[start : start + len(q)] = cols[first[:, None] + best]
+        d2[start : start + len(q)] = np.take_along_axis(pad, best, axis=1)
     return idx, d2

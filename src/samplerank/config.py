@@ -83,7 +83,9 @@ class Config:
             raise ConfigError("pca.variance_threshold must lie in (0, 1]")
         if self.strategy not in (STRATEGY_BPS, STRATEGY_MPS):
             raise ConfigError(f"strategy must be '{STRATEGY_BPS}' or '{STRATEGY_MPS}'")
-        if not self.sim_budgets or any(b < 1 for b in self.sim_budgets):
+        if not self.sim_budgets:
+            raise ConfigError("sim.budgets is empty")
+        if any(b < 1 for b in self.sim_budgets):
             raise ConfigError("sim.budgets must be positive")
         try:
             self.synthetic_spec()

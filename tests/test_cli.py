@@ -330,6 +330,12 @@ class TestSimulate:
         assert "bad value for sim.budgets: range '300:100:50' is empty" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_empty_budget_list_is_usage_error_naming_it(self, tmp_path, capsys):
+        cfg = _sim_config(tmp_path, **{"sim.budgets": ","})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 1
+        assert "sim.budgets is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_budget_beyond_pool_is_usage_error(self, tmp_path, capsys):
         cfg = _sim_config(tmp_path, **{"sim.budgets": "250,999"})
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 1

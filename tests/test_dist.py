@@ -25,20 +25,20 @@ def _grid_points(seed, n, dims=2, span=3):
 
 @pytest.fixture(params=[None, 3], ids=["one-tile", "ragged-tiles"])
 def tile_rows(request, monkeypatch):
-    """Optionally shrink the tile budget to 3 query rows, so most queries span several tiles."""
+    """Optionally shrink the tile to 3 query rows, so most queries span several tiles."""
 
-    def set_budget(b_size):
+    def set_tile(n_b):
         if request.param is not None:
-            monkeypatch.setattr(_dist, "_CHUNK_BUDGET", request.param * b_size)
+            monkeypatch.setattr(_dist, "_TILE", request.param * n_b)
 
-    return set_budget
+    return set_tile
 
 
 @pytest.mark.parametrize("k", [1, 5, 20])
 class TestMatchesStableArgsort:
     def test_tie_heavy_grid(self, k, tile_rows):
         a, b = _grid_points(0, 58), _grid_points(1, 43)
-        tile_rows(b.size)
+        tile_rows(len(b))
         idx, d2 = nearest(a, b, k)
         ref_idx, ref_d2 = _reference(a, b, k)
         np.testing.assert_array_equal(idx, ref_idx)
@@ -46,7 +46,7 @@ class TestMatchesStableArgsort:
 
     def test_exclude_self_on_duplicate_points(self, k, tile_rows):
         pts = _grid_points(2, 50, dims=3, span=2)  # 8 distinct points, ~6 copies each
-        tile_rows(pts.size)
+        tile_rows(len(pts))
         idx, d2 = nearest(pts, pts, k, exclude_self=True)
         ref_idx, ref_d2 = _reference(pts, pts, k, exclude_self=True)
         np.testing.assert_array_equal(idx, ref_idx)
@@ -56,26 +56,61 @@ class TestMatchesStableArgsort:
     def test_continuous_data(self, k, tile_rows):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(61, 5)), rng.normal(size=(40, 5))
-        tile_rows(b.size)
+        tile_rows(len(b))
         idx, d2 = nearest(a, b, k)
         ref_idx, ref_d2 = _reference(a, b, k)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(d2, ref_d2)
 
 
+def _counting_screens(monkeypatch):
+    """Record the (rows, columns) of every screen product ``nearest`` makes, one per tile."""
+    calls, matmul = [], np.matmul
+
+    def counting(*args, out):
+        calls.append(out.shape)
+        return matmul(*args, out=out)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return calls
+
+
 def test_small_budget_really_tiles(monkeypatch):
-    calls = []
-    original = _dist.sq_dist_matrix
+    a, b = _grid_points(5, 11), _grid_points(4, 10)
+    monkeypatch.setattr(_dist, "_TILE", 3 * len(b))
+    calls = _counting_screens(monkeypatch)
+    idx, d2 = nearest(a, b, 2)
+    assert calls == [(3, 10), (3, 10), (3, 10), (2, 10)]
+    ref_idx, ref_d2 = _reference(a, b, 2)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(d2, ref_d2)
 
-    def counting(a, b, *rest):
-        calls.append(a.shape[0])
-        return original(a, b, *rest)
 
-    b = _grid_points(4, 10)
-    monkeypatch.setattr(_dist, "sq_dist_matrix", counting)
-    monkeypatch.setattr(_dist, "_CHUNK_BUDGET", 3 * b.size)
-    nearest(_grid_points(5, 11), b, 2)
-    assert calls == [3, 3, 3, 2]
+def _adversarial_points(kind, rng, n, d):
+    if kind == "near-duplicates":  # half the rows a few ulps from another row
+        x = rng.normal(size=(n, d))
+        return np.vstack([x, x * (1 + 1e-15 * rng.normal(size=(n, d)))])
+    if kind == "scales":  # coordinates from 1e-30 to 1e30
+        return rng.normal(size=(2 * n, d)) * np.logspace(-30, 30, d)
+    if kind == "float32-offset":
+        return rng.normal(size=(2 * n, d)).astype(np.float32).astype(np.float64) + 1e3
+    return rng.integers(0, 3, size=(2 * n, d)).astype(float)  # a 3-value grid: ties everywhere
+
+
+@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("kind", ["near-duplicates", "scales", "float32-offset", "grid"])
+def test_screen_never_changes_the_result(kind, seed, monkeypatch):
+    """Inputs that put the screen's rounding at its worst still give the reference's bits."""
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 34)), int(rng.integers(1, 26))
+    b = _adversarial_points(kind, rng, int(rng.integers(k + 1, 40)), d)
+    a = np.vstack([b[rng.permutation(len(b))[: len(b) // 2]], _adversarial_points(kind, rng, 5, d)])
+    monkeypatch.setattr(_dist, "_TILE", int(rng.integers(1, 8)) * len(b))  # rows span tiles
+    for x, exclude_self in ((a, False), (b, True)):
+        idx, d2 = nearest(x, b, k, exclude_self)
+        ref_idx, ref_d2 = _reference(x, b, k, exclude_self)
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert d2.tobytes() == ref_d2.tobytes()
 
 
 def test_identical_point_is_at_distance_zero():
@@ -121,21 +156,25 @@ def test_kernel_empty_inputs(shape_a, shape_b):
     assert got.tobytes() == _broadcast(a, b).tobytes()
 
 
+def _peak_bytes(search):
+    tracemalloc.start()
+    try:
+        search()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_loop_shaped_search_memory_is_bounded():
     """LoOP's shape, 8,800 x 8 points and k=20: the peak is set by the tile.
 
     A (tile, n, d) difference block at the former 8,000,000-float tile budget
-    alone took ~61 MiB. An eighth of the query rows keeps the test fast and
-    the tiles the same.
+    alone took ~61 MiB. The full self search holds its 2.7 MiB result, the
+    two 0.5 MiB screen buffers and its row norms.
     """
     x = np.random.default_rng(7).normal(size=(8800, 8))
-    tracemalloc.start()
-    try:
-        nearest(x[:1100], x, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert _peak_bytes(lambda: nearest(x[:1100], x, 20)) < 16 * 2**20
+    assert _peak_bytes(lambda: nearest(x, x, 20, exclude_self=True)) < 4.5 * 2**20
 
 
 def test_repeated_searches_release_their_buffers():
@@ -173,7 +212,7 @@ def test_one_tile_mixing_tied_and_untied_rows(k):
     kth = np.sort(full, axis=1)[:, k - 1 : k]
     straddles = np.count_nonzero(full <= kth, axis=1) > k
     assert straddles.any() and not straddles.all()
-    assert len(a) <= _dist._CHUNK_BUDGET // b.size  # one tile
+    assert len(a) <= _dist._TILE // len(b)  # one tile
     idx, d2 = nearest(a, b, k)
     ref = np.argsort(full, axis=1, kind="stable")[:, :k]
     np.testing.assert_array_equal(idx, ref)
@@ -182,19 +221,12 @@ def test_one_tile_mixing_tied_and_untied_rows(k):
 
 @pytest.mark.parametrize("n_b", [1, 2, 5])
 def test_k1_against_short_b_matches_stable_argsort(n_b, monkeypatch):
-    """k=1 with len(b) below the tile's row count scans (len(b), tile) blocks."""
-    calls = []
-    original = _dist.sq_dist_matrix
-
-    def counting(a, b, *rest):
-        calls.append((len(a), len(b)))
-        return original(a, b, *rest)
-
+    """k=1 with len(b) below the tile's row count: (tile, len(b)) screens, the last one ragged."""
     a, b = _grid_points(9, 47), _grid_points(10, n_b)
-    monkeypatch.setattr(_dist, "sq_dist_matrix", counting)
-    monkeypatch.setattr(_dist, "_CHUNK_BUDGET", 10 * b.size)  # tiles of 10 query rows
+    monkeypatch.setattr(_dist, "_TILE", 10 * len(b))  # tiles of 10 query rows
+    calls = _counting_screens(monkeypatch)
     idx, d2 = nearest(a, b)
-    assert calls == [(n_b, 10)] * 4 + [(n_b, 7)]  # flipped, the last tile ragged
+    assert calls == [(10, n_b)] * 4 + [(7, n_b)]
     full = _broadcast(a, b)
     ref = np.argsort(full, axis=1, kind="stable")[:, :1]
     np.testing.assert_array_equal(idx, ref)
@@ -202,7 +234,7 @@ def test_k1_against_short_b_matches_stable_argsort(n_b, monkeypatch):
 
 
 def test_ufunc_buffer_size_is_restored():
-    """The kernel shrinks numpy's ufunc buffer to a row and gives the caller's size back."""
+    """The search leaves numpy's ufunc buffer size as the caller set it, also when it fails."""
     rng = np.random.default_rng(10)
     a, b = rng.normal(size=(30, 4)), rng.normal(size=(3, 4))
     old = np.setbufsize(4096)
@@ -211,8 +243,8 @@ def test_ufunc_buffer_size_is_restored():
         nearest(a, b)
         nearest(a, a, 3, exclude_self=True)
         assert np.getbufsize() == 4096
-        with pytest.raises(ValueError):  # a spare buffer too small for the block fails mid-sum
-            sq_dist_matrix(a, b, [np.empty(1)])
+        with pytest.raises(ValueError):  # k above len(b) fails mid-search
+            nearest(a, b, 4)
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
