@@ -10,37 +10,45 @@ range(d))`` (``tests/test_dist.py`` checks them) and depend on no numpy
 internals.
 
 ``nearest`` takes two stages per tile of query rows.
-- Screen: one BLAS product gives ``g_ij = |b_j|^2 - 2 a_i.b_j`` for the
-  tile against all of *b*; a row's own ``|a_i|^2`` shifts the whole row, so
-  it is never added. ``np.partition`` of a reused copy gives each row's k-th
-  value t_i, and ``np.flatnonzero`` of the mask ``g_ij <= t_i + s_i`` the
-  candidates. On 7 x 8,800, 32 x 2,000 and 655 x 100 tiles these took
-  2.1-3.6 and 0.3-0.4 ns per entry, where ``argpartition`` and a 2-D
-  ``nonzero`` took 3.1-8.4 and 3.3-3.8 (2-vCPU VM).
+- Screen: one BLAS product of the tile, given a ones column, with
+  ``[-2 b^T; |b|^2]`` (built once per search) gives ``g_ij = |b_j|^2 -
+  2 a_i.b_j`` against all of *b*; a row's own ``|a_i|^2`` shifts the whole
+  row, so it is never added. Both operands are contiguous: a 7 x 8,800
+  tile took 61 us, against 115 for ``(-2 q) @ b.T`` and ``+= |b|^2``.
+  Column j joins block ``j % nb``, nb = min(len(b), 8 (k - 1) + 1), and
+  ``np.partition`` of the (rows, nb) block minima gives t_i. The minima are
+  values of nb distinct columns, so t_i is at least the row's k-th value
+  (at k = 1 it is that value, the row minimum). The blocks are strided
+  because pool ids come in generator order: contiguous blocks would put a
+  novel sample's neighbours in one block and loosen t_i. The candidates
+  are ``np.flatnonzero(g_ij <= t_i + s_i)``. On 7 x 8,800, 32 x 2,000 and
+  655 x 100 tiles the block bound took 0.5-1.0 ns per entry, where
+  partitioning a copy of g took 1.5-2.7 (2-vCPU VM, one BLAS thread). On
+  rows of 16 columns it is the slower one, 4.3 against 3.3.
 - Confirmation: the kernel gives the candidates' distances, sorted by
   (distance, index) per row.
 
-The slack ``s_i = 16 (d + 2) eps (|a_i|^2 + max_j |b_j|^2)`` is four times a
-bound on twice the gap between ``g_ij + |a_i|^2`` and the kernel, so the
-result is exact. With u = eps / 2 and gamma_n = n u / (1 - n u) (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, §3.1), and
+The slack ``s_i = 16 (d + 2) eps (|a_i|^2 + max_j |b_j|^2)`` is over three
+times a bound on twice the gap between ``g_ij + |a_i|^2`` and the kernel,
+so the result is exact. With u = eps / 2 and gamma_n = n u / (1 - n u)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1), and
 S = |a_i|^2 + |b_j|^2:
-- the product errs by at most gamma_d sum_k |2 a_k b_k| <= gamma_d S in any
-  summation order, ``|b|^2`` by gamma_d |b|^2 and the last addition by
-  u |g| <= 2 u S: (d + 1) eps S to first order;
+- the product's d + 1 terms err by at most gamma_(d+1) (sum_k |2 a_k b_k|
+  + |b|^2) <= 2 gamma_(d+1) S in any summation order, and ``|b|^2`` itself
+  by gamma_d |b|^2: (1.5 d + 1) eps S to first order;
 - the kernel's d rounded squares, added in order, err by at most
   gamma_(d+2) times their sum, which is at most 2 S: (d + 2) eps S.
-The k columns with ``g_ij <= t_i`` have kernel values within one gap of
-``t_i + |a_i|^2``, so the k-th kernel value is too, and any column at or
-below it has ``g_ij <= t_i + 2 gap``. The bound is absolute: it holds while
-no sum of squares overflows (|x| far below 1e154) and products underflow
-only far below the slack (unless every point lies within 1e-145 of the
-origin). The inputs are float32 embeddings (|x| < 3.4e38), their PCA
-projections and centroids.
+At least k columns have ``g_ij <= t_i``, and their kernel values are at most
+one gap above ``t_i + |a_i|^2``, so the k-th kernel value is too, and any
+column at or below it has ``g_ij <= t_i + 2 gap``. The bound is absolute:
+it holds while no sum of squares overflows (|x| far below 1e154) and
+products underflow only far below the slack (unless every point lies
+within 1e-145 of the origin). The inputs are float32 embeddings
+(|x| < 3.4e38), their PCA projections and centroids.
 
-A tile holds ``_TILE`` screen entries in two float64 buffers reused from
-tile to tile (the second also orders the candidates), so a search holds
-O(len(a) + len(b) + _TILE) memory besides its result.
+A tile holds ``_TILE`` screen entries in one float64 buffer reused from
+tile to tile; the candidates' inf-padded rows are allocated per tile. A
+search holds O(len(a) + d len(b) + _TILE) memory besides its result.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 _TILE = 2**16  # screen entries per tile: query rows = _TILE // len(b)
+_BLOCKS_PER_K = 8  # strided column blocks per neighbour sought, past the first
 
 
 def _checked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,29 +98,32 @@ def nearest(
     d2 = np.empty((len(a), k))
     b_sq = np.einsum("ij,ij->i", b, b)
     slack = 16 * (d + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", a, a) + b_sq.max(initial=0))
+    right = np.vstack([b.T * -2, b_sq])  # (d + 1, m): q @ right[:d] + right[d] = g
+    nb = max(1, min(m, _BLOCKS_PER_K * (k - 1) + 1))
+    main = m - m % nb  # columns in whole rounds of the nb strided blocks
     tile = max(1, min(len(a), _TILE // max(1, m)))
-    screen, part = np.empty(tile * m), np.empty(tile * m)
+    screen, left = np.empty(tile * m), np.ones((tile, d + 1))
     for start in range(0, len(a), tile):
         q = a[start : start + tile]
-        g = screen[: len(q) * m].reshape(len(q), m)
-        np.matmul(q * -2, b.T, out=g)
-        g += b_sq
+        n = len(q)
+        left[:n, :d] = q
+        g = screen[: n * m].reshape(n, m)
+        np.matmul(left[:n], right, out=g)
         if exclude_self:
-            g[np.arange(len(q)), np.arange(start, start + len(q))] = np.inf
-        t = part[: g.size].reshape(g.shape)
-        np.copyto(t, g)
-        t.partition(k - 1, axis=1)
-        cut = t[:, k - 1 : k] + slack[start : start + len(q), None]
+            g[np.arange(n), np.arange(start, start + n)] = np.inf
+        low = g[:, :main].reshape(n, -1, nb).min(axis=1)
+        np.minimum(low[:, : m - main], g[:, main:], out=low[:, : m - main])
+        low.partition(k - 1, axis=1)
+        cut = low[:, k - 1 : k] + slack[start : start + n, None]
         rows, cols = np.divmod(np.flatnonzero(g <= cut), m)
         exact = _in_order(q.take(rows, axis=0), b.take(cols, axis=0))
         if exclude_self:
             exact[cols == rows + start] = np.inf
-        counts = np.bincount(rows, minlength=len(q))
+        counts = np.bincount(rows, minlength=n)
         first = np.cumsum(counts) - counts  # each row's candidates, in index order
-        pad = part[: len(q) * counts.max()].reshape(len(q), -1)
-        pad.fill(np.inf)
+        pad = np.full((n, counts.max()), np.inf)
         pad[rows, np.arange(len(rows)) - first[rows]] = exact
         best = pad.argsort(axis=1, kind="stable")[:, :k]
-        idx[start : start + len(q)] = cols[first[:, None] + best]
-        d2[start : start + len(q)] = np.take_along_axis(pad, best, axis=1)
+        idx[start : start + n] = cols[first[:, None] + best]
+        d2[start : start + n] = np.take_along_axis(pad, best, axis=1)
     return idx, d2

@@ -15,7 +15,6 @@ aligned with the pool's sample order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,25 +37,28 @@ def _check_unit(ids=None, **features) -> None:
         raise ValueError(f"{where}{names[which]}={value} outside [0,1]")
 
 
+def _basic(dist, pred_iou, p: Config):
+    return p.bps_a * dist + p.bps_b * (1.0 - pred_iou)
+
+
+def _multiparty(orph, err, dist, pred_iou, loop, p: Config):
+    inner = p.mps_a * orph + p.mps_b * err + p.mps_c * dist + p.mps_d * (1.0 - pred_iou)
+    return inner * (1.0 - loop)
+
+
 def bps(dist, pred_iou, params: Config = Config()):
     """Basic priority: far from every known cluster and predicted to score poorly.
 
     Takes scalars or equal-shape arrays and returns the same shape.
     """
     _check_unit(dist=dist, pred_iou=pred_iou)
-    return params.bps_a * dist + params.bps_b * (1.0 - pred_iou)
+    return _basic(dist, pred_iou, params)
 
 
 def mps(orph, err, dist, pred_iou, loop, params: Config = Config()):
     """Multiparty priority with outlier suppression; scalars or equal-shape arrays."""
     _check_unit(orph=orph, err=err, dist=dist, pred_iou=pred_iou, loop=loop)
-    inner = (
-        params.mps_a * orph
-        + params.mps_b * err
-        + params.mps_c * dist
-        + params.mps_d * (1.0 - pred_iou)
-    )
-    return inner * (1.0 - loop)
+    return _multiparty(orph, err, dist, pred_iou, loop, params)
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ def score_all(ids, dist, pred_iou, loop, orph, err, params: Config = Config()) -
     _check_unit(ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err)
     return Scores(
         ids=ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err,
-        bps=bps(dist, pred_iou, params),
-        mps=mps(orph, err, dist, pred_iou, loop, params),
+        bps=_basic(dist, pred_iou, params),
+        mps=_multiparty(orph, err, dist, pred_iou, loop, params),
     )
 
 
@@ -118,10 +120,7 @@ def write_queue_csv(scores: Scores, which: str, path) -> None:
     order = _order(scores, which)
     names = (which, "dist", "pred_iou", "loop", "orph", "err")
     columns = [getattr(scores, name)[order].tolist() for name in names]
+    rows = zip(range(1, len(order) + 1), scores.ids[order].tolist(), *columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "id", "score", "dist", "pred_iou", "loop", "orph", "err"])
-        for position, (sample_id, *values) in enumerate(
-            zip(scores.ids[order].tolist(), *columns), start=1
-        ):
-            writer.writerow([position, sample_id] + [f"{x:.9g}" for x in values])
+        fh.write("rank,id,score,dist,pred_iou,loop,orph,err\r\n")
+        fh.writelines(map("%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\r\n".__mod__, rows))

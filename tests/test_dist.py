@@ -113,6 +113,46 @@ def test_screen_never_changes_the_result(kind, seed, monkeypatch):
         assert d2.tobytes() == ref_d2.tobytes()
 
 
+def _block_case(case, rng):
+    """(a, b, k, exclude_self) for one of the block bound's edge cases; b spans several rounds."""
+    d = int(rng.integers(1, 9))
+    if case == "exclude-self-k=m-1":
+        b = rng.normal(size=(int(rng.integers(2, 40)), d))
+        return b, b, len(b) - 1, True
+    k = 1 if case == "k=1" else int(rng.integers(2, 7))
+    nb = _dist._BLOCKS_PER_K * (k - 1) + 1
+    m = nb * int(rng.integers(3, 50 if k == 1 else 7)) + (int(rng.integers(1, nb)) if case == "ragged" else 0)
+    if case == "all-equal":  # every column ties, so every one is a candidate
+        b = np.full((m, d), 0.5)
+        return b, b, k, True
+    b = rng.normal(size=(m, d)) * 10
+    if case == "one-stride-class":  # every near neighbour sits in one block
+        r = int(rng.integers(nb))
+        b[r::nb] = 1 + 1e-3 * rng.normal(size=b[r::nb].shape)
+        return 1 + 1e-3 * rng.normal(size=(9, d)), b, k, False
+    return b, b, k, True
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "case",
+    ["one-stride-class", "all-equal", "exclude-self-k=m-1", "k=1", "ragged", "small-tile"],
+)
+def test_block_bound_never_changes_the_result(case, seed, monkeypatch):
+    """Columns outnumber the blocks (but at k = m - 1), so each cut comes from block minima."""
+    rng = np.random.default_rng(seed)
+    a, b, k, exclude_self = _block_case(case, rng)
+    nb = min(len(b), _dist._BLOCKS_PER_K * (k - 1) + 1)
+    assert case == "exclude-self-k=m-1" or len(b) >= 3 * nb
+    assert (len(b) % nb != 0) == (case == "ragged")
+    if case == "small-tile":  # rows span tiles
+        monkeypatch.setattr(_dist, "_TILE", int(rng.integers(1, 4)) * len(b))
+    idx, d2 = nearest(a, b, k, exclude_self)
+    ref_idx, ref_d2 = _reference(a, b, k, exclude_self)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
 def test_identical_point_is_at_distance_zero():
     pts = np.random.default_rng(6).normal(size=(9, 4))
     idx, d2 = nearest(pts, pts)
@@ -170,11 +210,16 @@ def test_loop_shaped_search_memory_is_bounded():
 
     A (tile, n, d) difference block at the former 8,000,000-float tile budget
     alone took ~61 MiB. The full self search holds its 2.7 MiB result, the
-    two 0.5 MiB screen buffers and its row norms.
+    0.5 MiB screen buffer, the (d + 1, n) folded product operand (0.6 MiB)
+    and its row norms. When every point is equal, every screen entry is a
+    candidate: a tile's 2^16 of them copy both points' 8 coordinates
+    (8 MiB) beside ~10 entry-long index and distance arrays (5 MiB).
     """
     x = np.random.default_rng(7).normal(size=(8800, 8))
     assert _peak_bytes(lambda: nearest(x[:1100], x, 20)) < 16 * 2**20
     assert _peak_bytes(lambda: nearest(x, x, 20, exclude_self=True)) < 4.5 * 2**20
+    ties = np.ones_like(x)
+    assert _peak_bytes(lambda: nearest(ties[:300], ties, 20, exclude_self=True)) < 16 * 2**20
 
 
 def test_repeated_searches_release_their_buffers():

@@ -1,8 +1,11 @@
 """Priority formulas, ranking, and the queue export."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from samplerank import scoring
 from samplerank.config import Config, ConfigError
 from samplerank.scoring import (
     Scores,
@@ -131,6 +134,12 @@ class TestScoreAll:
         with pytest.raises(ValueError, match=r"sample 8: loop=1.5 outside"):
             score_all(**f)
 
+    def test_features_are_checked_once(self, monkeypatch):
+        calls, check = [], scoring._check_unit
+        monkeypatch.setattr(scoring, "_check_unit", lambda *a, **kw: calls.append(kw) or check(*a, **kw))
+        score_all(**_features(5, seed=9))
+        assert [sorted(kw) for kw in calls] == [["dist", "err", "loop", "orph", "pred_iou"]]
+
     def test_columns_are_read_only_and_equal_length(self):
         s = score_all(**_features(4, seed=8))
         with pytest.raises(ValueError):
@@ -195,3 +204,20 @@ class TestQueueCsv:
         assert ranks == list(range(1, 11))
         emitted = [float(line.split(",")[2]) for line in lines[1:]]
         assert emitted == sorted(emitted, reverse=True)
+
+    def test_bytes_equal_a_csv_writer(self, tmp_path):
+        """Header, CRLF line ends and nine significant digits, as ``csv.writer`` writes them."""
+        f = _features(50, seed=10)
+        f["ids"] = np.arange(50, dtype=np.uint64) + np.uint64(2**64 - 60)
+        f["dist"][:4] = [0.0, 1.0, 1e-300, 0.1 + 0.2]
+        scores = score_all(**f)
+        for which in ("bps", "mps"):
+            write_queue_csv(scores, which, tmp_path / "q.csv")
+            order = np.lexsort((scores.ids, -getattr(scores, which)))
+            with open(tmp_path / "ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["rank", "id", "score", "dist", "pred_iou", "loop", "orph", "err"])
+                for position, i in enumerate(order, start=1):
+                    values = [getattr(scores, n)[i] for n in (which, "dist", "pred_iou", "loop", "orph", "err")]
+                    writer.writerow([position, int(scores.ids[i])] + [f"{float(x):.9g}" for x in values])
+            assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
