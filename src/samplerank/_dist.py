@@ -47,8 +47,9 @@ within 1e-145 of the origin). The inputs are float32 embeddings
 (|x| < 3.4e38), their PCA projections and centroids.
 
 A tile holds ``_TILE`` screen entries in one float64 buffer reused from
-tile to tile; the candidates' inf-padded rows are allocated per tile. A
-search holds O(len(a) + d len(b) + _TILE) memory besides its result.
+tile to tile; the candidates' inf-padded rows are allocated per tile, and
+the kernel takes the points of at most ``_TILE // d`` candidates at a time.
+A search holds O(len(a) + d len(b) + _TILE) memory besides its result.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ def nearest(
     main = m - m % nb  # columns in whole rounds of the nb strided blocks
     tile = max(1, min(len(a), _TILE // max(1, m)))
     screen, left = np.empty(tile * m), np.ones((tile, d + 1))
+    step = max(1, _TILE // max(1, d))  # candidates per kernel call
     for start in range(0, len(a), tile):
         q = a[start : start + tile]
         n = len(q)
@@ -116,7 +118,10 @@ def nearest(
         low.partition(k - 1, axis=1)
         cut = low[:, k - 1 : k] + slack[start : start + n, None]
         rows, cols = np.divmod(np.flatnonzero(g <= cut), m)
-        exact = _in_order(q.take(rows, axis=0), b.take(cols, axis=0))
+        exact = np.concatenate([  # in chunks: on tied data every screen entry is a candidate
+            _in_order(q.take(rows[s : s + step], axis=0), b.take(cols[s : s + step], axis=0))
+            for s in range(0, len(rows), step)
+        ])
         if exclude_self:
             exact[cols == rows + start] = np.inf
         counts = np.bincount(rows, minlength=n)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import clustering, harness, metrics, pca, pipeline, scoring
 from .config import STRATEGY_BPS, STRATEGY_MPS, Config, ConfigError, dump_config, load_config
-from .data import SPLIT_CORE, SPLIT_FINETUNE, DataFormatError, load_embeddings
+from .data import SPLIT_CORE, SPLIT_FINETUNE, SPLITS, DataFormatError, load_embeddings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,11 +90,11 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
         raise DataFormatError(f"{path}: no records")
     if dimension is not None and corpus.dimension != dimension:
         raise DataFormatError(f"{path}: dimension {corpus.dimension}, expected {dimension}")
-    for index, rec in enumerate(corpus):
-        if rec.split != what:
-            raise DataFormatError(
-                f"{path}: record {index} (id {rec.id}) is a {rec.split} record, expected {what}"
-            )
+    wrong = np.flatnonzero(corpus.splits != SPLITS.index(what))
+    if wrong.size:
+        index = wrong[0]
+        found = f"(id {corpus.ids[index]}) is a {SPLITS[corpus.splits[index]]} record"
+        raise DataFormatError(f"{path}: record {index} {found}, expected {what}")
     return corpus
 
 
@@ -193,7 +193,7 @@ def cmd_scatter(config: Config, args) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     scatter_path = os.path.join(config.out_dir, "scatter.csv")
     harness.export_scatter(
-        ids=core.ids + finetune.ids,
+        ids=np.concatenate([core.ids, finetune.ids]).tolist(),
         xy=xy,
         ious=np.concatenate([core.measured_ious(), ft_ious]),
         splits=["core"] * len(core) + ["finetune"] * len(finetune),

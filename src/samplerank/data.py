@@ -21,13 +21,13 @@ import math
 import re
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SPLIT_CORE = "core"
 SPLIT_FINETUNE = "finetune"
-_SPLITS = (SPLIT_CORE, SPLIT_FINETUNE)
+SPLITS = (SPLIT_CORE, SPLIT_FINETUNE)  # a Corpus stores each record's split as its index here
 
 _EMB_MAGIC = b"EMB1"
 _EMB_HEADER = "<IIB"  # record count, dimension, split flag
@@ -47,6 +47,15 @@ def read_only(value, dtype) -> np.ndarray:
     return arr
 
 
+def _split_index(rec_id, split: str) -> int:
+    """The index in SPLITS of a record's *split*, once its id and split are checked."""
+    if not isinstance(rec_id, int) or not 0 <= rec_id <= _MAX_ID:
+        raise ValueError(f"record id must be a non-negative integer, got {rec_id!r}")
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    return SPLITS.index(split)
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     """One sample: a latent vector plus an optional measured IoU.
@@ -61,10 +70,7 @@ class EmbeddingRecord:
     measured_iou: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or not 0 <= self.id <= _MAX_ID:
-            raise ValueError(f"record id must be a non-negative integer, got {self.id!r}")
-        if self.split not in _SPLITS:
-            raise ValueError(f"split must be one of {_SPLITS}, got {self.split!r}")
+        _split_index(self.id, self.split)
         vec = read_only(self.vector, np.float32)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("vector must be a non-empty 1-D array")
@@ -79,10 +85,6 @@ class EmbeddingRecord:
         if self.split == SPLIT_CORE and self.measured_iou is None:
             raise ValueError("core records require measured_iou")
 
-    @property
-    def dimension(self) -> int:
-        return int(self.vector.size)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingRecord):
             return NotImplemented
@@ -94,55 +96,89 @@ class EmbeddingRecord:
         )
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Ordered collection of records sharing one vector dimension."""
+    """Samples as read-only columns of one vector dimension: ``ids`` (u64), ``vectors()`` (f32,
+    n x D), IoUs (f32, NaN when absent) and ``splits`` (u8, indices into SPLITS).
 
-    records: tuple[EmbeddingRecord, ...]
-    dimension: int = field(default=0)
+    The loaders and the generator pass ``columns=(ids, vectors, ious, splits)``; a column already of
+    its dtype is kept, so a binary file's vectors stay a view of its bytes. ``Corpus(records)``
+    stacks EmbeddingRecords, and ``records`` builds them back. The columns are checked here,
+    vectorised: a ValueError names the first bad record.
+    """
 
-    def __post_init__(self) -> None:
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        if records:
-            dim = records[0].dimension
-            if self.dimension and self.dimension != dim:
-                raise ValueError(
-                    f"declared dimension {self.dimension} does not match records ({dim})"
-                )
-            object.__setattr__(self, "dimension", dim)
-        elif self.dimension < 1:
-            raise ValueError("empty corpus needs an explicit positive dimension")
-        seen: set[int] = set()
-        for index, rec in enumerate(records):
-            if rec.dimension != self.dimension:
-                raise ValueError(
-                    f"record {index}: dimension {rec.dimension} != corpus dimension {self.dimension}"
-                )
-            if rec.id in seen:
-                raise ValueError(f"record {index}: duplicate id {rec.id}")
-            seen.add(rec.id)
+    def __init__(self, records=(), dimension: int = 0, *, columns=None) -> None:
+        ids, vectors, ious, splits = _stacked(tuple(records), dimension) if columns is None else columns
+        self.ids, self.splits = read_only(ids, np.uint64), read_only(splits, np.uint8)
+        self._vectors = read_only(vectors, np.float32)
+        fault = _first_fault(self._vectors, ious, self.splits, self.ids)
+        if fault:
+            raise ValueError("record %d: %s" % fault)
+        self._ious, self.dimension = read_only(ious, np.float32), self._vectors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.records)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        columns = ("ids", "splits", "_ious", "_vectors")  # the vectors' shapes hold the dimensions
+        return all(np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in columns)
+
     @property
-    def ids(self) -> list[int]:
-        return [rec.id for rec in self.records]
+    def records(self) -> tuple[EmbeddingRecord, ...]:
+        """The samples as EmbeddingRecords with int ids and float or None IoUs, built on each call."""
+        columns = zip(self.ids.tolist(), self.splits.tolist(), self._vectors, self._ious.tolist())
+        return tuple(EmbeddingRecord(i, SPLITS[s], v, None if math.isnan(u) else u) for i, s, v, u in columns)
 
     def vectors(self) -> np.ndarray:
-        """Record vectors stacked row-wise at their stored float32 precision."""
-        return np.stack([rec.vector for rec in self.records])
+        """Record vectors row-wise at their stored float32 precision, read-only."""
+        return self._vectors
 
     def measured_ious(self) -> np.ndarray:
-        """Measured IoU per record; raises if any record lacks one."""
-        for index, rec in enumerate(self.records):
-            if rec.measured_iou is None:
-                raise ValueError(f"record {index} (id {rec.id}) has no measured_iou")
-        return np.array([rec.measured_iou for rec in self.records], dtype=np.float64)
+        """Measured IoU per record as float64; raises if any record lacks one."""
+        missing = np.flatnonzero(np.isnan(self._ious))
+        if missing.size:
+            raise ValueError(f"record {missing[0]} (id {self.ids[missing[0]]}) has no measured_iou")
+        return self._ious.astype(np.float64)
+
+
+def _stacked(records: tuple[EmbeddingRecord, ...], dimension: int):
+    """The columns of *records*, whose vectors all have the declared *dimension* when it is given."""
+    if not records and dimension < 1:
+        raise ValueError("empty corpus needs an explicit positive dimension")
+    dim = records[0].vector.size if records else dimension
+    if dimension and dimension != dim:
+        raise ValueError(f"declared dimension {dimension} does not match records ({dim})")
+    for index, rec in enumerate(records):
+        if rec.vector.size != dim:
+            raise ValueError(f"record {index}: dimension {rec.vector.size} != corpus dimension {dim}")
+    ious = np.array([math.nan if rec.measured_iou is None else rec.measured_iou for rec in records])
+    vectors = np.array([rec.vector for rec in records], np.float32).reshape(len(records), dim)
+    return [rec.id for rec in records], vectors, ious, [SPLITS.index(rec.split) for rec in records]
+
+
+def _first_fault(vectors: np.ndarray, ious, splits, ids) -> tuple[int, str] | None:
+    """(index, message) of the first record with a non-finite vector, a float32 IoU outside [0,1], a
+    core split without an IoU or an id an earlier record holds, each record checked in that order;
+    a NaN IoU is an absent one."""
+    ious, splits, ids = np.asarray(ious), np.asarray(splits), np.asarray(ids, np.uint64)
+    rounded, order = np.asarray(ious, np.float32), np.argsort(ids, kind="stable")  # equal ids stay in order
+    faults = (
+        ~(np.isfinite(vectors.max(axis=1)) & np.isfinite(vectors.min(axis=1))),  # max and min keep a NaN
+        np.isinf(rounded) | (rounded < 0) | (rounded > 1),
+        np.isnan(rounded) & (splits == SPLITS.index(SPLIT_CORE)),
+        np.isin(np.arange(len(ids)), order[1:][ids[order[1:]] == ids[order[:-1]]]),
+    )
+    firsts = [(bad.argmax(), check) for check, bad in enumerate(faults) if bad.any()]
+    if not firsts:
+        return None
+    index, check = min(firsts)
+    iou = ious[index].item()  # as given, before rounding
+    return index, ("vector contains non-finite values", f"measured_iou must lie in [0,1], got {iou!r}",
+                   "core records require measured_iou", f"duplicate id {ids[index]}")[check]
 
 
 def write_model_file(path, layout, counts, arrays) -> None:
@@ -210,7 +246,11 @@ def load_embeddings(path) -> Corpus:
     """Load a corpus: binary when the file starts with the ``EMB1`` magic, CSV otherwise."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    return _load_binary(path, blob) if blob[:4] == _EMB_MAGIC else _load_csv(path, blob)
+    columns = _load_binary(path, blob) if blob[:4] == _EMB_MAGIC else _load_csv(path, blob)
+    try:
+        return Corpus(columns=columns)
+    except ValueError as exc:  # it names the record
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _emb_records(dim: int) -> np.dtype:
@@ -219,20 +259,16 @@ def _emb_records(dim: int) -> np.dtype:
 
 
 def _save_binary(corpus: Corpus, path) -> None:
-    splits = {rec.split for rec in corpus}
-    if len(splits) != 1:
+    if (corpus.splits != corpus.splits[0]).any():
         raise ValueError("binary format stores one split per file; corpus mixes splits")
-    split_flag = 0 if splits.pop() == SPLIT_CORE else 1
     table = np.empty(len(corpus), _emb_records(corpus.dimension))
-    table["id"] = corpus.ids
-    table["iou"] = [np.nan if rec.measured_iou is None else rec.measured_iou for rec in corpus]
-    table["vector"] = np.stack([rec.vector for rec in corpus])
+    table["id"], table["iou"], table["vector"] = corpus.ids, corpus._ious, corpus.vectors()
     with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC + struct.pack(_EMB_HEADER, len(corpus), corpus.dimension, split_flag))
+        fh.write(_EMB_MAGIC + struct.pack(_EMB_HEADER, len(corpus), corpus.dimension, corpus.splits[0]))
         fh.write(table.tobytes())
 
 
-def _load_binary(path, blob: bytes) -> Corpus:
+def _load_binary(path, blob: bytes) -> tuple:
     offset = 4 + struct.calcsize(_EMB_HEADER)
     if len(blob) < offset:
         raise DataFormatError(f"{path}: truncated header")
@@ -241,30 +277,24 @@ def _load_binary(path, blob: bytes) -> Corpus:
         raise DataFormatError(f"{path}: unknown split flag {split_flag}")
     if dim == 0:
         raise DataFormatError(f"{path}: zero dimension in header")
-    split = SPLIT_CORE if split_flag == 0 else SPLIT_FINETUNE
     expected = offset + count * (_emb_records(0).itemsize + 4 * dim)  # _emb_records(dim) fails from about 2**29
     if len(blob) != expected:
         raise DataFormatError(
             f"{path}: size mismatch, expected {expected} bytes for {count} records, got {len(blob)}"
         )
     if count == 0:  # no records may come with any dimension, even one no dtype can hold
-        return Corpus((), dimension=dim)
-    table = np.frombuffer(blob, dtype=_emb_records(dim), offset=offset)
-    ids, ious, vectors = table["id"].tolist(), table["iou"].tolist(), table["vector"]
-
-    def record(i):
-        return EmbeddingRecord(ids[i], split, vectors[i], None if math.isnan(ious[i]) else ious[i])
-
-    return _corpus(path, dim, count, record)
+        return (), np.empty((0, dim), np.float32), (), ()
+    table = np.frombuffer(blob, dtype=_emb_records(dim), offset=offset)  # fields are views of the bytes
+    return table["id"], table["vector"], table["iou"], np.full(count, split_flag, np.uint8)
 
 
 def _save_csv(corpus: Corpus, path) -> None:
     line = "%d,%s,%s," + ",".join(["%.9g"] * corpus.dimension) + "\r\n"  # the float32 values' 9 digits
+    columns = zip(corpus.ids.tolist(), corpus.splits.tolist(), corpus._ious.tolist(), corpus.vectors())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["id", "split", "iou"] + [f"v{i}" for i in range(corpus.dimension)]) + "\r\n")
-        for rec in corpus:
-            iou = "" if rec.measured_iou is None else f"{rec.measured_iou:.9g}"
-            fh.write(line % (rec.id, rec.split, iou, *rec.vector.tolist()))
+        for rec_id, split, iou, vector in columns:
+            fh.write(line % (rec_id, SPLITS[split], "" if math.isnan(iou) else f"{iou:.9g}", *vector.tolist()))
 
 
 def read_utf8(path) -> str:
@@ -281,7 +311,7 @@ def _decode_utf8(path, blob: bytes) -> str:
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_csv(path, blob: bytes) -> Corpus:
+def _load_csv(path, blob: bytes) -> tuple:
     if not blob.isascii():  # ASCII is valid UTF-8; fields decode one by one below
         _decode_utf8(path, blob)
     if b'"' in blob:
@@ -301,9 +331,9 @@ def _load_csv(path, blob: bytes) -> Corpus:
         if line.count(b",") != 2 + dim:
             raise DataFormatError(f"{path}: record {index}: expected {3 + dim} fields, got {line.count(b',') + 1}")
     try:  # every row holds 3 + dim fields, so numpy's row i is record i; numpy warns on no rows
-        vectors = rows and np.loadtxt(
+        vectors = np.loadtxt(
             rows, np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2, encoding="utf-8"
-        )
+        ) if rows else np.empty((0, dim), np.float32)
     except ValueError as exc:
         bad = re.search(r"at row (\d+), column (\d+)", str(exc))
         if bad is None:
@@ -311,27 +341,19 @@ def _load_csv(path, blob: bytes) -> Corpus:
         index, column = int(bad[1]), int(bad[2]) - 1
         value = rows[index].split(b",")[column].decode()
         raise DataFormatError(f"{path}: record {index}: v{column - 3} is not a number: {value!r}") from None
-    head = [row.split(b",", 3)[:3] for row in rows]  # id, split, iou
-
-    def record(i):
-        rec_id, split, iou = (field.decode() for field in head[i])
-        return EmbeddingRecord(int(rec_id), split, vectors[i], None if iou == "" else float(iou))
-
-    return _corpus(path, dim, len(rows), record)
-
-
-def _corpus(path, dim: int, count: int, record) -> Corpus:
-    """Corpus of ``record(i)`` for i < *count*; a ValueError names the file and the record."""
-    records = []
-    for index in range(count):
+    ids, ious, splits = [], [], []
+    for index, row in enumerate(rows):
         try:
-            records.append(record(index))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: record {index}: {exc}") from exc
-    try:
-        return Corpus(tuple(records), dimension=dim)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+            rec_id, split, text = (field.decode() for field in row.split(b",", 3)[:3])
+            ids.append(int(rec_id))
+            ious.append(float(text) if text else math.nan)
+            splits.append(_split_index(ids[-1], split))
+            if text and math.isnan(ious[-1]):  # the IoU column's NaN marks an empty field
+                raise ValueError(f"measured_iou must lie in [0,1], got {ious[-1]!r}")
+        except ValueError as exc:  # a fault of an earlier record comes first
+            fault = _first_fault(vectors[:index], ious[:index], splits[:index], ids[:index])
+            raise DataFormatError(f"{path}: " + "record %d: %s" % (fault or (index, exc))) from None
+    return ids, vectors, np.array(ious), splits
 
 
 @dataclass(frozen=True)

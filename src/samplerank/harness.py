@@ -48,7 +48,7 @@ def surrogate_quality(labeled_ids, ft_corpus: Corpus, truth: GroundTruth) -> flo
     labeled = list(labeled_ids)
     if not labeled:
         raise ValueError("selection must not be empty")
-    position = {rec_id: i for i, rec_id in enumerate(ft_corpus.ids)}
+    position = {rec_id: i for i, rec_id in enumerate(ft_corpus.ids.tolist())}
     try:
         labeled_pos = np.array([position[i] for i in labeled])
     except KeyError as exc:
@@ -133,7 +133,7 @@ def run_budget_sweep(
         seed = spec.seed + step
         core, finetune, truth = generate_synthetic(replace(spec, seed=seed))
         scores = compute_scores(core, finetune, params, seed=seed)
-        position = {rec_id: i for i, rec_id in enumerate(finetune.ids)}
+        position = {rec_id: i for i, rec_id in enumerate(finetune.ids.tolist())}
         vectors = finetune.vectors().astype(np.float64)  # cast once, not in every coverage step
         for strategy in strategies:
             if strategy == STRATEGY_RANDOM:

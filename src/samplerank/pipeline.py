@@ -47,8 +47,8 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     A count of 0 in *params* (PCA rank, cluster counts) selects the stage's
     default rule.
     """
-    pooled = finetune.records if finetune is not None else ()
-    fit_matrix = np.stack([rec.vector for rec in core.records + pooled])  # float32, one allocation
+    parts = (core,) if finetune is None else (core, finetune)
+    fit_matrix = np.concatenate([part.vectors() for part in parts])  # float32, one allocation
     core_vectors = fit_matrix[: len(core)]  # a view: no second copy of the core rows
     r = _count(params, "pca_components", min(fit_matrix.shape), "smaller of the fit's vector count and dimension")
     reduction = pca.fit_pca(fit_matrix, r=r, variance_threshold=params.pca_variance_threshold)

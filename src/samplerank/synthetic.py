@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, EmbeddingRecord, SPLIT_CORE, SPLIT_FINETUNE, read_only
+from .data import Corpus, read_only
 
 OUTLIER_HIDDEN_ID = -1
 
@@ -256,6 +256,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, Corpus, GroundTruth
     truth = GroundTruth(hidden_cluster_id=hidden, is_novel=hidden >= len(modes),
                         is_outlier=hidden == OUTLIER_HIDDEN_ID)
 
-    core = (EmbeddingRecord(i, SPLIT_CORE, core_matrix[i], float(core_ious[i])) for i in range(spec.core_n))
-    ft = (EmbeddingRecord(spec.core_n + i, SPLIT_FINETUNE, ft_matrix[i]) for i in range(spec.ft_n))
-    return Corpus(tuple(core)), Corpus(tuple(ft)), truth
+    core = Corpus(columns=(np.arange(spec.core_n), core_matrix, core_ious, np.zeros(spec.core_n, np.uint8)))
+    ft_ids = np.arange(spec.core_n, spec.core_n + spec.ft_n)
+    ft = Corpus(columns=(ft_ids, ft_matrix, np.full(spec.ft_n, np.nan), np.ones(spec.ft_n, np.uint8)))
+    return core, ft, truth

@@ -1,7 +1,9 @@
 """Corpus construction, file round-trips, mask validation, and read-only record arrays."""
 
 import struct
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from samplerank.data import (
 from samplerank.metrics import IouPredictor
 from samplerank.pca import PcaModel
 from samplerank.scoring import Scores
-from samplerank.synthetic import GroundTruth
+from samplerank.synthetic import GroundTruth, default_spec, generate_synthetic
 
 
 def _random_corpus(rng, n=12, dim=4, split="core"):
@@ -271,6 +273,82 @@ class TestCsvLoader:
         path.write_bytes(blob)
         with pytest.raises(DataFormatError, match=f"c.csv: {message}"):
             read(path)
+
+
+class TestColumnarCorpus:
+    """Loading, generating and fitting keep columns; records exist only at the ``Corpus(records)`` edge."""
+
+    @staticmethod
+    def _pool_files(tmp_path, ft_n=300):
+        core, pool, _ = generate_synthetic(replace(default_spec(seed=5), core_n=200, ft_n=ft_n))
+        paths = {name: tmp_path / name for name in ("core.emb", "pool.emb", "pool.csv")}
+        save_embeddings(core, paths["core.emb"])
+        save_embeddings(pool, paths["pool.emb"])
+        save_embeddings(pool, paths["pool.csv"], "csv")
+        return paths
+
+    def test_load_generate_fit_and_rank_build_no_record(self, tmp_path, monkeypatch):
+        paths = self._pool_files(tmp_path)
+
+        def refuse(self):
+            raise AssertionError("an EmbeddingRecord was built")
+
+        monkeypatch.setattr(EmbeddingRecord, "__post_init__", refuse)
+        for path in paths.values():
+            assert len(load_embeddings(path)) > 0
+        generate_synthetic(default_spec(seed=6))
+        out = ["--out-dir", str(tmp_path), "--seed", "3"]
+        assert main(out + ["fit", "--core", str(paths["core.emb"]), "--finetune", str(paths["pool.emb"])]) == 0
+        assert main(out + ["rank", "--finetune", str(paths["pool.csv"])]) == 0
+        assert (tmp_path / "queue.csv").stat().st_size > 0
+
+    def test_a_loaded_pool_holds_little_beyond_its_file(self, tmp_path):
+        """8,800 x 8 binary pool: the file is 0.37 MiB; as records it held 2.49 MiB."""
+        path = self._pool_files(tmp_path, ft_n=8800)["pool.emb"]
+        tracemalloc.start()
+        try:
+            pool = load_embeddings(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 8800 and held < 0.6 * 2**20
+
+    @pytest.mark.parametrize("form", ["binary", "csv", "mixed-csv"])
+    def test_records_edge_round_trips(self, tmp_path, form):
+        rng = np.random.default_rng(11)
+        records = [
+            EmbeddingRecord(id=i, split=split, vector=rng.normal(size=5).astype(np.float32),
+                            measured_iou=float(rng.uniform()) if split == "core" or i % 3 == 0 else None)
+            for i, split in zip(range(2**64 - 1, 2**64 - 121, -3), ["finetune", "core"] * 20)
+            if form == "mixed-csv" or split == "finetune"
+        ]
+        built = Corpus(tuple(records))
+        path = tmp_path / ("c.emb" if form == "binary" else "c.csv")
+        save_embeddings(built, path, "binary" if form == "binary" else "csv")
+        loaded = load_embeddings(path)
+        assert loaded == built and loaded.dimension == built.dimension == 5
+        assert loaded.ids.dtype == np.uint64 and loaded.ids.tolist() == [rec.id for rec in records]
+        assert loaded.splits.tolist() == built.splits.tolist()
+        assert loaded.vectors().tobytes() == built.vectors().tobytes()
+        absent = [rec.measured_iou is None for rec in records]
+        for corpus in (built, loaded):
+            ious = corpus._ious
+            assert np.isnan(ious).tolist() == absent
+            assert ious[~np.isnan(ious)].tolist() == [iou for iou in (r.measured_iou for r in records) if iou is not None]
+        for mine, back in zip(records, loaded.records, strict=True):
+            assert type(back.id) is int and (back.measured_iou is None or type(back.measured_iou) is float)
+            assert (back.id, back.split, back.measured_iou) == (mine.id, mine.split, mine.measured_iou)
+            assert back.vector.tobytes() == mine.vector.tobytes() and back == mine
+
+    def test_first_bad_record_is_named_whatever_its_fault(self):
+        vectors = np.ones((4, 2), np.float32)
+        vectors[3, 1] = np.inf
+        with pytest.raises(ValueError, match=r"^record 1: duplicate id 7$"):
+            Corpus(columns=([7, 7, 8, 9], vectors, np.full(4, np.nan), [1, 1, 1, 1]))
+        with pytest.raises(ValueError, match=r"^record 2: core records require measured_iou$"):
+            Corpus(columns=([1, 2, 3, 4], vectors, [0.5, 0.5, np.nan, 2.0], [0, 0, 0, 0]))
+        with pytest.raises(ValueError, match=r"^record 3: vector contains non-finite values$"):
+            Corpus(columns=([1, 2, 3, 4], vectors, [0.5, 0.5, 0.5, 2.0], [0, 0, 0, 0]))
 
 
 class TestMasks:

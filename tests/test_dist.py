@@ -212,14 +212,17 @@ def test_loop_shaped_search_memory_is_bounded():
     alone took ~61 MiB. The full self search holds its 2.7 MiB result, the
     0.5 MiB screen buffer, the (d + 1, n) folded product operand (0.6 MiB)
     and its row norms. When every point is equal, every screen entry is a
-    candidate: a tile's 2^16 of them copy both points' 8 coordinates
-    (8 MiB) beside ~10 entry-long index and distance arrays (5 MiB).
+    candidate: ~10 entry-long index and distance arrays per tile (5 MiB)
+    beside the kernel's copies of both points, taken 2^16 / d candidates at
+    a time (1 MiB), so 64-D ties copy no more than 8-D ones.
     """
     x = np.random.default_rng(7).normal(size=(8800, 8))
     assert _peak_bytes(lambda: nearest(x[:1100], x, 20)) < 16 * 2**20
     assert _peak_bytes(lambda: nearest(x, x, 20, exclude_self=True)) < 4.5 * 2**20
     ties = np.ones_like(x)
     assert _peak_bytes(lambda: nearest(ties[:300], ties, 20, exclude_self=True)) < 16 * 2**20
+    wide_ties = np.ones((8800, 64))
+    assert _peak_bytes(lambda: nearest(wide_ties[:300], wide_ties, 20, exclude_self=True)) < 16 * 2**20
 
 
 def test_repeated_searches_release_their_buffers():

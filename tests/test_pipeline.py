@@ -36,7 +36,7 @@ class TestComputeScores:
         core, ft, _ = small_data
         scores = compute_scores(core, ft, seed=5)
         assert len(scores) == len(ft)
-        assert scores.ids.tolist() == ft.ids
+        assert scores.ids.tolist() == ft.ids.tolist()
 
     def test_all_features_in_unit_interval(self, small_data):
         core, ft, _ = small_data
@@ -104,7 +104,7 @@ class TestErrorFeature:
     def with_copies(self, small_data):
         core, ft, _ = small_data
         low = [rec for rec in core if rec.measured_iou < 0.5]
-        first = max(core.ids + ft.ids) + 1
+        first = int(max(core.ids.max(), ft.ids.max())) + 1
         copies = tuple(
             EmbeddingRecord(id=first + i, split="finetune", vector=rec.vector)
             for i, rec in enumerate(low)
