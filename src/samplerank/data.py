@@ -12,7 +12,9 @@ Embeddings travel in two interchangeable encodings:
   takes a line's commas as its field separators and rejects any quote
   character. numpy parses all vector columns in one pass.
 
-Masks are never read from files: ``BinaryMask`` lives in memory, for ``metrics.iou``.
+A ``Corpus`` holds a file's records as columns; ``EmbeddingRecord`` is a plain value that only
+``Corpus(records)`` checks. Masks are never read from files: ``BinaryMask`` lives in memory, for
+``metrics.iou``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class DataFormatError(ValueError):
 
 
 def read_only(value, dtype) -> np.ndarray:
-    """*value* as a read-only array of *dtype* for a record to keep; the caller's array stays writable."""
+    """*value* as a read-only array of *dtype*, for a column or frozen model to keep; a caller's array
+    of that dtype is frozen as a view, so the caller's own object stays writable."""
     arr = np.asarray(value, dtype=dtype)
     if arr is value:  # no copy was made: freeze a view, not the caller's own object
         arr = arr.view()
@@ -56,58 +59,28 @@ def _split_index(rec_id, split: str) -> int:
     return SPLITS.index(split)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
-    """One sample: a latent vector plus an optional measured IoU.
-
-    Vectors are stored at 32-bit precision, matching the file format, so a
-    record survives a save/load cycle bit-exactly.
-    """
+    """One sample as plain values, a latent vector plus an optional measured IoU; ``Corpus`` checks it."""
 
     id: int
     split: str
     vector: np.ndarray
     measured_iou: float | None = None
 
-    def __post_init__(self) -> None:
-        _split_index(self.id, self.split)
-        vec = read_only(self.vector, np.float32)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError("vector must be a non-empty 1-D array")
-        if not np.isfinite(vec).all():
-            raise ValueError("vector contains non-finite values")
-        object.__setattr__(self, "vector", vec)
-        if self.measured_iou is not None:
-            iou = float(np.float32(self.measured_iou))
-            if not math.isfinite(iou) or not 0.0 <= iou <= 1.0:
-                raise ValueError(f"measured_iou must lie in [0,1], got {self.measured_iou!r}")
-            object.__setattr__(self, "measured_iou", iou)
-        if self.split == SPLIT_CORE and self.measured_iou is None:
-            raise ValueError("core records require measured_iou")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingRecord):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.split == other.split
-            and self.measured_iou == other.measured_iou
-            and np.array_equal(self.vector, other.vector)
-        )
-
 
 class Corpus:
     """Samples as read-only columns of one vector dimension: ``ids`` (u64), ``vectors()`` (f32,
     n x D), IoUs (f32, NaN when absent) and ``splits`` (u8, indices into SPLITS).
 
-    The loaders and the generator pass ``columns=(ids, vectors, ious, splits)``; a column already of
-    its dtype is kept, so a binary file's vectors stay a view of its bytes. ``Corpus(records)``
-    stacks EmbeddingRecords, and ``records`` builds them back. The columns are checked here,
-    vectorised: a ValueError names the first bad record.
+    The loaders and the generator pass ``columns=(ids, vectors, ious, splits)``, as an empty corpus
+    must; a column already of its dtype is kept, so a binary file's vectors stay a view of its bytes.
+    ``Corpus(records)`` stacks EmbeddingRecords and ``records`` builds them back. Records are checked
+    here and only here, once each; a ValueError names the first bad record.
     """
 
-    def __init__(self, records=(), dimension: int = 0, *, columns=None) -> None:
-        ids, vectors, ious, splits = _stacked(tuple(records), dimension) if columns is None else columns
+    def __init__(self, records=(), *, columns=None) -> None:
+        ids, vectors, ious, splits = _stacked(tuple(records)) if columns is None else columns
         self.ids, self.splits = read_only(ids, np.uint64), read_only(splits, np.uint8)
         self._vectors = read_only(vectors, np.float32)
         fault = _first_fault(self._vectors, ious, self.splits, self.ids)
@@ -118,9 +91,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
@@ -129,7 +99,7 @@ class Corpus:
 
     @property
     def records(self) -> tuple[EmbeddingRecord, ...]:
-        """The samples as EmbeddingRecords with int ids and float or None IoUs, built on each call."""
+        """The samples as EmbeddingRecords of int ids, float or None IoUs and read-only f32 row views."""
         columns = zip(self.ids.tolist(), self.splits.tolist(), self._vectors, self._ious.tolist())
         return tuple(EmbeddingRecord(i, SPLITS[s], v, None if math.isnan(u) else u) for i, s, v, u in columns)
 
@@ -145,19 +115,28 @@ class Corpus:
         return self._ious.astype(np.float64)
 
 
-def _stacked(records: tuple[EmbeddingRecord, ...], dimension: int):
-    """The columns of *records*, whose vectors all have the declared *dimension* when it is given."""
-    if not records and dimension < 1:
-        raise ValueError("empty corpus needs an explicit positive dimension")
-    dim = records[0].vector.size if records else dimension
-    if dimension and dimension != dim:
-        raise ValueError(f"declared dimension {dimension} does not match records ({dim})")
+def _stacked(records: tuple[EmbeddingRecord, ...]):
+    """The columns of *records*, checking what the columns cannot show: ids, splits, vector shapes and
+    NaN IoUs. A column fault of a record before a bad one is named first."""
+    if not records:
+        raise ValueError("an empty corpus is built from columns=, whose vectors give its dimension")
+    dim, splits = np.size(records[0].vector), []
     for index, rec in enumerate(records):
-        if rec.vector.size != dim:
-            raise ValueError(f"record {index}: dimension {rec.vector.size} != corpus dimension {dim}")
-    ious = np.array([math.nan if rec.measured_iou is None else rec.measured_iou for rec in records])
-    vectors = np.array([rec.vector for rec in records], np.float32).reshape(len(records), dim)
-    return [rec.id for rec in records], vectors, ious, [SPLITS.index(rec.split) for rec in records]
+        try:
+            size = np.size(rec.vector)
+            if np.ndim(rec.vector) != 1 or not size:
+                raise ValueError("vector must be a non-empty 1-D array")
+            if size != dim:
+                raise ValueError(f"dimension {size} != corpus dimension {dim}")
+            splits.append(_split_index(rec.id, rec.split))
+            if rec.measured_iou is not None and math.isnan(rec.measured_iou):  # NaN marks an absent IoU
+                raise ValueError(f"measured_iou must lie in [0,1], got {rec.measured_iou!r}")
+        except (TypeError, ValueError) as exc:
+            if index:
+                Corpus(records[:index])  # raises for a column fault of an earlier record
+            raise ValueError(f"record {index}: {exc}") from None
+    ious = [math.nan if rec.measured_iou is None else rec.measured_iou for rec in records]
+    return [rec.id for rec in records], np.array([rec.vector for rec in records], np.float32), ious, splits
 
 
 def _first_fault(vectors: np.ndarray, ious, splits, ids) -> tuple[int, str] | None:

@@ -30,7 +30,7 @@ _NOVEL_DISTANCE = 13.0  # the first novel center's distance from the origin
 _NOVEL_SEPARATION = 3.0  # each further novel center's step from the one before
 _OUTLIER_BOX_SPANS = 20.0
 _TRUNCATE_SIGMA = 4.5  # every drawn offset lies within this many standard deviations
-_MIN_ACCEPTANCE = 1e-4  # share of draws within _TRUNCATE_SIGMA; below it the redraws take over a minute
+_MIN_ACCEPTANCE = 1e-2  # share of draws within _TRUNCATE_SIGMA (dims <= 37); at 40 the redraws take over a second
 
 
 @dataclass(frozen=True)

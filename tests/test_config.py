@@ -106,8 +106,11 @@ class TestValidation:
             load_config(None, {"sim_outlier_fraction": 0.3})
 
     def test_dims_the_generator_cannot_draw_rejected(self):
-        """At 64 dims only 3e-8 of draws fall within the truncation radius: generating would not end."""
-        assert load_config(None, {"sim_dims": 44}).sim_dims == 44
+        """At 64 dims only 3e-8 of draws fall within the truncation radius: generating would not end.
+        At 38 dims 8.1e-3 do, below the 1e-2 that keeps generating under a second."""
+        assert load_config(None, {"sim_dims": 37}).sim_dims == 37
+        with pytest.raises(ConfigError, match=r"sim: dims = 38 keeps only 8\.1e-03 of draws .* below 0\.01$"):
+            load_config(None, {"sim_dims": 38})
         with pytest.raises(ConfigError, match=r"sim: dims = 64 keeps only 3\.3e-08 of draws"):
             load_config(None, {"sim_dims": 64})
 

@@ -41,29 +41,31 @@ def _random_corpus(rng, n=12, dim=4, split="core"):
 
 
 class TestRecordValidation:
+    """An EmbeddingRecord is a plain value; ``Corpus`` checks it."""
+
     def test_core_requires_measured_iou(self):
-        with pytest.raises(ValueError, match="measured_iou"):
-            EmbeddingRecord(id=0, split="core", vector=np.ones(3))
+        with pytest.raises(ValueError, match="^record 0: core records require measured_iou$"):
+            Corpus((EmbeddingRecord(id=0, split="core", vector=np.ones(3)),))
 
     def test_finetune_iou_optional(self):
-        rec = EmbeddingRecord(id=0, split="finetune", vector=np.ones(3))
+        (rec,) = Corpus((EmbeddingRecord(id=0, split="finetune", vector=np.ones(3)),)).records
         assert rec.measured_iou is None
 
     def test_rejects_nan_vector(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            EmbeddingRecord(id=0, split="finetune", vector=np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="^record 0: vector contains non-finite"):
+            Corpus((EmbeddingRecord(id=0, split="finetune", vector=np.array([1.0, np.nan])),))
 
     def test_rejects_out_of_range_iou(self):
-        with pytest.raises(ValueError, match=r"\[0,1\]"):
-            EmbeddingRecord(id=0, split="core", vector=np.ones(2), measured_iou=1.5)
+        with pytest.raises(ValueError, match=r"^record 0: measured_iou must lie in \[0,1\]"):
+            Corpus((EmbeddingRecord(id=0, split="core", vector=np.ones(2), measured_iou=1.5),))
 
     def test_rejects_negative_id(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            EmbeddingRecord(id=-1, split="core", vector=np.ones(2), measured_iou=0.5)
+        with pytest.raises(ValueError, match="^record 0: record id must be a non-negative"):
+            Corpus((EmbeddingRecord(id=-1, split="core", vector=np.ones(2), measured_iou=0.5),))
 
     def test_rejects_unknown_split(self):
-        with pytest.raises(ValueError, match="split"):
-            EmbeddingRecord(id=0, split="validation", vector=np.ones(2))
+        with pytest.raises(ValueError, match="^record 0: split must be one of"):
+            Corpus((EmbeddingRecord(id=0, split="validation", vector=np.ones(2)),))
 
 
 class TestCorpusValidation:
@@ -84,9 +86,37 @@ class TestCorpusValidation:
             Corpus(tuple(recs))
 
     def test_empty_corpus_needs_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="columns="):
             Corpus(())
-        assert len(Corpus((), dimension=5)) == 0
+        empty = Corpus(columns=((), np.empty((0, 5), np.float32), (), ()))
+        assert len(empty) == 0 and empty.dimension == 5
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", -1, "record id must be a non-negative integer, got -1"),
+        ("split", "validation", "split must be one of ('core', 'finetune'), got 'validation'"),
+        ("vector", np.array([1.0, np.inf, 0.0]), "vector contains non-finite values"),
+        ("measured_iou", 1.5, "measured_iou must lie in [0,1], got 1.5"),
+        ("measured_iou", np.nan, "measured_iou must lie in [0,1], got nan"),
+        ("measured_iou", "0.5", "must be real number, not str"),
+        ("measured_iou", None, "core records require measured_iou"),
+        ("vector", np.ones((3, 1)), "vector must be a non-empty 1-D array"),
+        ("vector", np.ones(4), "dimension 4 != corpus dimension 3"),
+        ("id", 1, "duplicate id 1"),
+    ], ids=["negative-id", "unknown-split", "non-finite-vector", "iou-above-1", "nan-iou", "text-iou",
+            "core-without-iou", "2d-vector", "dimension-mismatch", "duplicate-id"])
+    def test_every_record_fault_names_its_index(self, field, value, message):
+        records = [EmbeddingRecord(id=i, split="core", vector=np.ones(3), measured_iou=0.5) for i in range(4)]
+        records[2] = replace(records[2], **{field: value})
+        with pytest.raises(ValueError) as err:
+            Corpus(records)
+        assert str(err.value) == f"record 2: {message}"
+
+    def test_a_column_fault_before_a_record_fault_is_named_first(self):
+        records = [EmbeddingRecord(id=i, split="finetune", vector=np.ones(3)) for i in range(4)]
+        records[1] = replace(records[1], vector=np.array([0.0, np.nan, 1.0]))
+        records[3] = replace(records[3], vector=np.ones((3, 3)))
+        with pytest.raises(ValueError, match=r"^record 1: vector contains non-finite values$"):
+            Corpus(records)
 
 
 class TestEmbeddingRoundTrip:
@@ -102,7 +132,7 @@ class TestEmbeddingRoundTrip:
         path = tmp_path / "c.csv"
         save_embeddings(corpus, path, "csv")
         loaded = load_embeddings(path)
-        for a, b in zip(loaded, corpus):
+        for a, b in zip(loaded.records, corpus.records, strict=True):
             np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
             assert a.id == b.id and a.split == b.split
 
@@ -135,7 +165,7 @@ class TestEmbeddingRoundTrip:
 
     def test_empty_corpus_refuses_to_save(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            save_embeddings(Corpus((), dimension=3), tmp_path / "x.emb")
+            save_embeddings(Corpus(columns=((), np.empty((0, 3), np.float32), (), ())), tmp_path / "x.emb")
 
     def test_mixed_splits_rejected_by_binary(self, tmp_path):
         recs = (
@@ -214,7 +244,7 @@ class TestCsvLoader:
         line = ",".join(["5", "finetune", "", "-0", "1.40129846e-45", "3.40282347e+38"]
                         + [f"{v:.9g}" for v in vector[3:]])
         assert path.read_bytes() == f"{header}\r\n{line}\r\n".encode()
-        (back,) = load_embeddings(path)
+        (back,) = load_embeddings(path).records
         assert back.vector.tobytes() == vector.tobytes()
 
     def test_bad_float_names_file_record_and_column(self, tmp_path):
@@ -259,7 +289,7 @@ class TestCsvLoader:
     def test_form_feed_next_to_a_number_is_whitespace(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_bytes(b"id,split,iou,v0\n1\f,finetune,,0.5\v\n")
-        (rec,) = load_embeddings(path)
+        (rec,) = load_embeddings(path).records
         assert rec.id == 1 and rec.vector.tolist() == [0.5]
 
     @pytest.mark.parametrize("read, blob, message", [
@@ -290,10 +320,10 @@ class TestColumnarCorpus:
     def test_load_generate_fit_and_rank_build_no_record(self, tmp_path, monkeypatch):
         paths = self._pool_files(tmp_path)
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("an EmbeddingRecord was built")
 
-        monkeypatch.setattr(EmbeddingRecord, "__post_init__", refuse)
+        monkeypatch.setattr(EmbeddingRecord, "__init__", refuse)
         for path in paths.values():
             assert len(load_embeddings(path)) > 0
         generate_synthetic(default_spec(seed=6))
@@ -318,7 +348,7 @@ class TestColumnarCorpus:
         rng = np.random.default_rng(11)
         records = [
             EmbeddingRecord(id=i, split=split, vector=rng.normal(size=5).astype(np.float32),
-                            measured_iou=float(rng.uniform()) if split == "core" or i % 3 == 0 else None)
+                            measured_iou=float(np.float32(rng.uniform())) if split == "core" or i % 3 == 0 else None)
             for i, split in zip(range(2**64 - 1, 2**64 - 121, -3), ["finetune", "core"] * 20)
             if form == "mixed-csv" or split == "finetune"
         ]
@@ -338,7 +368,7 @@ class TestColumnarCorpus:
         for mine, back in zip(records, loaded.records, strict=True):
             assert type(back.id) is int and (back.measured_iou is None or type(back.measured_iou) is float)
             assert (back.id, back.split, back.measured_iou) == (mine.id, mine.split, mine.measured_iou)
-            assert back.vector.tobytes() == mine.vector.tobytes() and back == mine
+            assert back.vector.tobytes() == mine.vector.tobytes() and not back.vector.flags.writeable
 
     def test_first_bad_record_is_named_whatever_its_fault(self):
         vectors = np.ones((4, 2), np.float32)
@@ -361,8 +391,9 @@ def _record_cases():
     """(constructor, scalar fields, array fields), every array already of the record's dtype."""
     column = np.linspace(0.0, 1.0, 3)
     return {
-        "EmbeddingRecord": (EmbeddingRecord, {"id": 1, "split": SPLIT_FINETUNE},
-                            {"vector": np.ones(3, np.float32)}),
+        "Corpus": (lambda ids, splits, _vectors, _ious: Corpus(columns=(ids, _vectors, _ious, splits)), {},
+                   {"ids": np.arange(3, dtype=np.uint64), "splits": np.ones(3, np.uint8),
+                    "_vectors": np.ones((3, 2), np.float32), "_ious": np.full(3, np.nan, np.float32)}),
         "BinaryMask": (BinaryMask, {"width": 2, "height": 2}, {"bits": np.eye(2, dtype=bool)}),
         "PcaModel": (PcaModel, {"total_variance": 3.0},
                      {"mean": np.zeros(2), "components": np.eye(2), "eigenvalues": np.array([2.0, 1.0])}),

@@ -70,7 +70,8 @@ class TestComputeScores:
     def test_empty_pool_gives_empty_scores(self, small_data):
         core, ft, _ = small_data
         models = fit_models(core, None, Config(), seed=5)
-        empty = score_finetune(models, Corpus((), dimension=core.dimension), Config())
+        no_pool = Corpus(columns=((), np.empty((0, core.dimension), np.float32), (), ()))
+        empty = score_finetune(models, no_pool, Config())
         assert len(empty) == 0
         assert all(getattr(empty, name).shape == (0,) for name in COLUMNS)
 
@@ -103,7 +104,7 @@ class TestErrorFeature:
     @pytest.fixture(scope="class")
     def with_copies(self, small_data):
         core, ft, _ = small_data
-        low = [rec for rec in core if rec.measured_iou < 0.5]
+        low = [rec for rec in core.records if rec.measured_iou < 0.5]
         first = int(max(core.ids.max(), ft.ids.max())) + 1
         copies = tuple(
             EmbeddingRecord(id=first + i, split="finetune", vector=rec.vector)
