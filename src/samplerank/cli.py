@@ -83,7 +83,7 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
     """Load a non-empty corpus of *what* records, of length *dimension* if it is given."""
     if not path:
         raise ConfigError(f"no {what} embeddings path configured")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):  # a pipe cannot be sniffed and read again
         raise FileNotFoundError(f"{what} embeddings file not found: {path}")
     corpus = load_embeddings(path)
     if len(corpus) == 0:

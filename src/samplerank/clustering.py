@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._dist import nearest, sq_dist_matrix
-from .data import read_model_file, read_only, write_model_file
+from .data import read_binary_file, read_only, write_binary_file
 
 ERROR_IOU_THRESHOLD = 0.5
 
@@ -318,10 +318,10 @@ def detect_orphans(
 def save_clusters(model: ClusterModel, path) -> None:
     arrays = [model.iou_weight, model.feature_mean, model.feature_scale, model.centroids,
               model.p95_radius, model.member_count, model.is_error]
-    write_model_file(path, _CLU_LAYOUT, (model.centroids.shape[0], model.reduced_dim), arrays)
+    write_binary_file(path, _CLU_LAYOUT, (model.centroids.shape[0], model.reduced_dim), arrays)
 
 
 def load_clusters(path) -> ClusterModel:
-    with read_model_file(path, "a cluster model", _CLU_LAYOUT) as (_, arrays):
+    with read_binary_file(path, "a cluster model", _CLU_LAYOUT) as (_, arrays):
         iou_weight, mean, scale, centroids, radii, counts, flags = arrays
         return ClusterModel(centroids, float(iou_weight), mean, scale, counts, radii, flags)

@@ -4,7 +4,8 @@ Embeddings travel in two interchangeable encodings:
 
 * binary — magic ``EMB1``, u32-LE record count, u32-LE dimension, one u8
   split flag for the whole file (0=core, 1=finetune), then per record:
-  u64-LE id, f32 measured IoU (NaN when absent), and the f32 vector.
+  u64-LE id, f32 measured IoU (NaN when absent), and the f32 vector, in
+  the container that ``read_binary_file`` reads for the model files too.
 * CSV — header ``id,split,iou,v0,...,v{D-1}``, then one record per line;
   a line ends at ``\n``, ``\r\n`` or ``\r`` and at nothing else; an empty
   iou field means absent; floats written with 9 significant digits. Fields
@@ -20,6 +21,7 @@ A ``Corpus`` holds a file's records as columns; ``EmbeddingRecord`` is a plain v
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import struct
 from contextlib import contextmanager
@@ -32,7 +34,8 @@ SPLIT_FINETUNE = "finetune"
 SPLITS = (SPLIT_CORE, SPLIT_FINETUNE)  # a Corpus stores each record's split as its index here
 
 _EMB_MAGIC = b"EMB1"
-_EMB_HEADER = "<IIB"  # record count, dimension, split flag
+# count, dimension, split flag; then raw records, so the size is checked before _emb_records(dim) can fail
+_EMB_LAYOUT = _EMB_MAGIC, "<IIB", lambda count, dim, split: [("<u1", (count, 12 + 4 * dim))]
 _MAX_ID = 2**64 - 1
 
 
@@ -52,7 +55,7 @@ def read_only(value, dtype) -> np.ndarray:
 
 def _split_index(rec_id, split: str) -> int:
     """The index in SPLITS of a record's *split*, once its id and split are checked."""
-    if not isinstance(rec_id, int) or not 0 <= rec_id <= _MAX_ID:
+    if not isinstance(rec_id, (int, numbers.Integral)) or not 0 <= rec_id <= _MAX_ID:  # int first: ABCs are slow
         raise ValueError(f"record id must be a non-negative integer, got {rec_id!r}")
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -160,25 +163,25 @@ def _first_fault(vectors: np.ndarray, ious, splits, ids) -> tuple[int, str] | No
                    "core records require measured_iou", f"duplicate id {ids[index]}")[check]
 
 
-def write_model_file(path, layout, counts, arrays) -> None:
-    """Write the header *counts* and the payload *arrays* in *layout*, as ``read_model_file`` reads them."""
+def write_binary_file(path, layout, counts, arrays) -> None:
+    """Write the header *counts* and the payload *arrays* in *layout*, as ``read_binary_file`` reads them."""
     magic, header, payload = layout
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack(header, *counts))
         for (dtype, shape), array in zip(payload(*counts), arrays, strict=True):
-            fh.write(np.asarray(array).astype(dtype).reshape(shape).tobytes())
+            fh.write(np.asarray(array).astype(dtype, copy=False).reshape(shape).tobytes())
 
 
 @contextmanager
-def read_model_file(path, kind: str, layout):
-    """Read a whole model file; yields ``(counts, arrays)`` to the block that builds the model.
+def read_binary_file(path, kind: str, layout):
+    """Read a whole binary file; yields ``(counts, arrays)`` to the block that builds its contents.
 
     *layout* is ``(magic, header, payload)``: the file holds the 4-byte magic, the counts packed by
     the ``struct`` format *header*, then back to back, with nothing after, the arrays that
     ``payload(*counts)`` lists in file order as ``(dtype, shape)`` pairs; shape ``()`` is a scalar,
-    dtype ``"?"`` a 0/1 flag byte. Floats come back as float64; a NaN or inf, or a flag other than 0
-    or 1, raises naming its byte offset. *kind* ends the wrong-magic message "not <kind> file". A
-    ValueError raised in the block (a broken model invariant) leaves as a DataFormatError naming the file.
+    dtype ``"?"`` a 0/1 flag byte. Floats come back as float64, other arrays as read-only views of the
+    bytes; a NaN or inf, or a flag other than 0 or 1, raises naming its byte offset. *kind* ends the
+    message "not <kind> file". A ValueError raised in the block leaves as a DataFormatError naming the file.
     """
     magic, header, payload = layout
     with open(path, "rb") as fh:
@@ -223,9 +226,10 @@ def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
 
 def load_embeddings(path) -> Corpus:
     """Load a corpus: binary when the file starts with the ``EMB1`` magic, CSV otherwise."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    columns = _load_binary(path, blob) if blob[:4] == _EMB_MAGIC else _load_csv(path, blob)
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: a buffered read() after the seek is ~10x slower
+        binary = fh.read(4) == _EMB_MAGIC
+        fh.seek(0)
+        columns = _load_binary(path) if binary else _load_csv(path, fh.read())
     try:
         return Corpus(columns=columns)
     except ValueError as exc:  # it names the record
@@ -242,29 +246,19 @@ def _save_binary(corpus: Corpus, path) -> None:
         raise ValueError("binary format stores one split per file; corpus mixes splits")
     table = np.empty(len(corpus), _emb_records(corpus.dimension))
     table["id"], table["iou"], table["vector"] = corpus.ids, corpus._ious, corpus.vectors()
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC + struct.pack(_EMB_HEADER, len(corpus), corpus.dimension, corpus.splits[0]))
-        fh.write(table.tobytes())
+    write_binary_file(path, _EMB_LAYOUT, (len(corpus), corpus.dimension, corpus.splits[0]), [table.view(np.uint8)])
 
 
-def _load_binary(path, blob: bytes) -> tuple:
-    offset = 4 + struct.calcsize(_EMB_HEADER)
-    if len(blob) < offset:
-        raise DataFormatError(f"{path}: truncated header")
-    count, dim, split_flag = struct.unpack_from(_EMB_HEADER, blob, 4)
-    if split_flag not in (0, 1):
-        raise DataFormatError(f"{path}: unknown split flag {split_flag}")
-    if dim == 0:
-        raise DataFormatError(f"{path}: zero dimension in header")
-    expected = offset + count * (_emb_records(0).itemsize + 4 * dim)  # _emb_records(dim) fails from about 2**29
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{path}: size mismatch, expected {expected} bytes for {count} records, got {len(blob)}"
-        )
-    if count == 0:  # no records may come with any dimension, even one no dtype can hold
-        return (), np.empty((0, dim), np.float32), (), ()
-    table = np.frombuffer(blob, dtype=_emb_records(dim), offset=offset)  # fields are views of the bytes
-    return table["id"], table["vector"], table["iou"], np.full(count, split_flag, np.uint8)
+def _load_binary(path) -> tuple:
+    with read_binary_file(path, "an embedding", _EMB_LAYOUT) as ((count, dim, split), (raw,)):
+        if split not in (0, 1):
+            raise ValueError(f"unknown split flag {split}")
+        if dim == 0:
+            raise ValueError("zero dimension in header")
+        if count == 0:  # no records may come with any dimension, even one no dtype can hold
+            return (), np.empty((0, dim), np.float32), (), ()
+        table = raw.view(_emb_records(dim))[:, 0]  # fields are views of the file's bytes
+        return table["id"], table["vector"], table["iou"], np.full(count, split, np.uint8)
 
 
 def _save_csv(corpus: Corpus, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import nearest
-from .data import BinaryMask, read_model_file, read_only, write_model_file
+from .data import BinaryMask, read_binary_file, read_only, write_binary_file
 
 DEFAULT_KNN_K = 5
 
@@ -83,9 +83,9 @@ def predict_iou_batch(predictor: IouPredictor, x: np.ndarray) -> np.ndarray:
 
 def save_predictor(predictor: IouPredictor, path) -> None:
     counts = (*predictor.points.shape, predictor.k)
-    write_model_file(path, _IOP_LAYOUT, counts, [predictor.points, predictor.ious])
+    write_binary_file(path, _IOP_LAYOUT, counts, [predictor.points, predictor.ious])
 
 
 def load_predictor(path) -> IouPredictor:
-    with read_model_file(path, "an IoU predictor", _IOP_LAYOUT) as ((_, _, k), (points, ious)):
+    with read_binary_file(path, "an IoU predictor", _IOP_LAYOUT) as ((_, _, k), (points, ious)):
         return IouPredictor(points=points, ious=ious, k=k)

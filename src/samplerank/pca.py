@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_model_file, read_only, write_model_file
+from .data import read_binary_file, read_only, write_binary_file
 
 # header: dimension d, component count r; payload: total variance, mean, components, eigenvalues
 _PCA_LAYOUT = b"PCA1", "<II", lambda d, r: [("<f4", ()), ("<f4", (d,)), ("<f4", (r, d)), ("<f4", (r,))]
@@ -150,9 +150,9 @@ def explained_variance_ratio(model: PcaModel) -> np.ndarray:
 
 def save_pca(model: PcaModel, path) -> None:
     arrays = [model.total_variance, model.mean, model.components, model.eigenvalues]
-    write_model_file(path, _PCA_LAYOUT, (model.dimension, model.n_components), arrays)
+    write_binary_file(path, _PCA_LAYOUT, (model.dimension, model.n_components), arrays)
 
 
 def load_pca(path) -> PcaModel:
-    with read_model_file(path, "a PCA model", _PCA_LAYOUT) as (_, (total, mean, components, eigenvalues)):
+    with read_binary_file(path, "a PCA model", _PCA_LAYOUT) as (_, (total, mean, components, eigenvalues)):
         return PcaModel(mean, components, eigenvalues, float(total))

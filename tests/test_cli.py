@@ -1,5 +1,6 @@
 """Command-line workflows: fit, rank, simulate, scatter, report."""
 
+import os
 import struct
 
 import numpy as np
@@ -77,6 +78,14 @@ class TestFitAndRank:
         code = main(["--out-dir", str(tmp_path), "fit", "--core", str(tmp_path / "absent.emb")])
         assert code == 2
         assert "absent.emb" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_or_directory_as_embeddings_exits_2_naming_it(self, tmp_path, capsys):
+        os.mkfifo(tmp_path / "pipe.emb")  # never opened: opening a pipe with no writer would block
+        (tmp_path / "dir.emb").mkdir()
+        for name in ("pipe.emb", "dir.emb"):
+            assert main(["--out-dir", str(tmp_path), "fit", "--core", str(tmp_path / name)]) == 2
+            assert f"core embeddings file not found: {tmp_path / name}" in capsys.readouterr().err
 
     def test_rank_produces_full_queue(self, embedding_files, tmp_path):
         core, ft = embedding_files

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from samplerank.cli import main
-from samplerank.clustering import ClusterModel
+from samplerank.clustering import ClusterModel, load_clusters, save_clusters
 from samplerank.data import (
     SPLIT_FINETUNE,
     BinaryMask,
@@ -20,8 +20,8 @@ from samplerank.data import (
     read_utf8,
     save_embeddings,
 )
-from samplerank.metrics import IouPredictor
-from samplerank.pca import PcaModel
+from samplerank.metrics import IouPredictor, load_predictor, save_predictor
+from samplerank.pca import PcaModel, load_pca, save_pca
 from samplerank.scoring import Scores
 from samplerank.synthetic import GroundTruth, default_spec, generate_synthetic
 
@@ -66,6 +66,16 @@ class TestRecordValidation:
     def test_rejects_unknown_split(self):
         with pytest.raises(ValueError, match="^record 0: split must be one of"):
             Corpus((EmbeddingRecord(id=0, split="validation", vector=np.ones(2)),))
+
+    def test_numpy_integer_ids_are_ids(self):
+        corpus = Corpus(columns=([5, 6], np.ones((2, 2), np.float32), np.full(2, np.nan), [1, 1]))
+        (rec,) = Corpus((EmbeddingRecord(corpus.ids[0], "finetune", np.ones(2)),)).records
+        assert rec.id == 5 and type(rec.id) is int
+        top = Corpus((EmbeddingRecord(np.uint64(2**64 - 1), "finetune", np.ones(2)),))
+        assert top.ids.tolist() == [2**64 - 1]
+        message = r"^record 0: record id must be a non-negative integer, got np.int64\(-1\)$"
+        with pytest.raises(ValueError, match=message):
+            Corpus((EmbeddingRecord(np.int64(-1), "finetune", np.ones(2)),))
 
 
 class TestCorpusValidation:
@@ -196,6 +206,14 @@ class TestEmbeddingErrors:
         with pytest.raises(DataFormatError, match="size mismatch"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("dim", [1, 2**29, 2**32 - 1])
+    def test_header_only_binary_loads_empty_of_its_dimension(self, tmp_path, dim):
+        # no records may come with any dimension, even one no record dtype can hold
+        path = tmp_path / "c.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<IIB", 0, dim, 1))
+        corpus = load_embeddings(path)
+        assert len(corpus) == 0 and corpus.dimension == dim and corpus.vectors().shape == (0, dim)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.emb"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -213,6 +231,37 @@ class TestEmbeddingErrors:
         path.write_text("id,split,iou,v0\n0,core,,1.0\n")
         with pytest.raises(DataFormatError, match="record 0"):
             load_embeddings(path)
+
+
+# file kind -> (writer of a small valid file, its reader, header size in bytes)
+_BINARY_FILES = {
+    "EMB1": (lambda path: save_embeddings(_random_corpus(np.random.default_rng(6), n=3), path), load_embeddings, 13),
+    "PCA1": (lambda path: save_pca(PcaModel(np.zeros(2), np.eye(2), np.array([2.0, 1.0]), 3.0), path), load_pca, 12),
+    "CLU1": (lambda path: save_clusters(ClusterModel(
+        np.zeros((2, 3)), 1.0, np.zeros(2), np.ones(2), np.array([3, 4]), np.ones(2), np.array([False, True])), path),
+        load_clusters, 12),
+    "IOP1": (lambda path: save_predictor(IouPredictor(np.zeros((3, 2)), np.full(3, 0.5), 1), path), load_predictor, 16),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BINARY_FILES))
+def test_every_binary_file_reports_a_cut_header_and_an_extra_byte(tmp_path, kind):
+    """All four binary files share one codec, so they share its messages."""
+    save, load, header = _BINARY_FILES[kind]
+    path = tmp_path / "f.bin"
+    save(path)
+    blob = path.read_bytes()
+    assert blob[:4] == kind.encode()
+    path.write_bytes(blob[:6])  # past the magic, inside the header
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: truncated header, 6 of {header} bytes"
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: size mismatch, expected {len(blob)} bytes, got {len(blob) + 1}"
+    path.write_bytes(blob)
+    load(path)
 
 
 class TestCsvLoader:
