@@ -22,17 +22,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import clustering, harness, metrics, pca, pipeline, scoring
+from . import harness, metrics, pca, pipeline, scoring
 from .config import STRATEGY_BPS, STRATEGY_MPS, Config, ConfigError, dump_config, load_config
 from .data import SPLIT_CORE, SPLIT_FINETUNE, SPLITS, DataFormatError, load_embeddings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-_PCA_FILE = "pca.bin"
-_CLUSTERS_FILE = "clusters.bin"
-_PREDICTOR_FILE = "iou_refs.bin"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,9 +106,8 @@ def cmd_fit(config: Config, args) -> int:
         raise ValueError(f"{exc} (fitting {fitted})") from None
 
     os.makedirs(config.out_dir, exist_ok=True)
-    pca.save_pca(models.reduction, os.path.join(config.out_dir, _PCA_FILE))
-    clustering.save_clusters(models.clusters, os.path.join(config.out_dir, _CLUSTERS_FILE))
-    metrics.save_predictor(models.predictor, os.path.join(config.out_dir, _PREDICTOR_FILE))
+    for key, (name, save, _) in pipeline.MODEL_FILES.items():
+        save(getattr(models, key), os.path.join(config.out_dir, name))
 
     ratios = pca.explained_variance_ratio(models.reduction)
     print(
@@ -130,23 +125,14 @@ def cmd_fit(config: Config, args) -> int:
 
 
 def cmd_rank(config: Config, args) -> int:
-    pca_path, clusters_path, predictor_path = (
-        os.path.join(config.out_dir, name) for name in (_PCA_FILE, _CLUSTERS_FILE, _PREDICTOR_FILE)
-    )
-    models = pipeline.FittedModels(
-        reduction=pca.load_pca(pca_path),
-        predictor=metrics.load_predictor(predictor_path),
-        clusters=clustering.load_clusters(clusters_path),
-    )
+    paths = {key: os.path.join(config.out_dir, name) for key, (name, _, _) in pipeline.MODEL_FILES.items()}
+    models = pipeline.FittedModels(**{key: load(paths[key]) for key, (_, _, load) in pipeline.MODEL_FILES.items()})
     pca_rank = models.reduction.n_components
-    for path, dim in (
-        (clusters_path, models.clusters.reduced_dim),
-        (predictor_path, models.predictor.points.shape[1]),
-    ):
+    for key, dim in (("clusters", models.clusters.reduced_dim), ("predictor", models.predictor.points.shape[1])):
         if dim != pca_rank:
             raise DataFormatError(
-                f"model files from different fits: {pca_path} has rank {pca_rank}, "
-                f"{path} has dimension {dim}"
+                f"model files from different fits: {paths['reduction']} has rank {pca_rank}, "
+                f"{paths[key]} has dimension {dim}"
             )
     finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, models.reduction.dimension)
     scores = pipeline.score_finetune(models, finetune, config, seed=config.seed)

@@ -315,13 +315,13 @@ def detect_orphans(
     )
 
 
-def save_clusters(model: ClusterModel, path) -> None:
+def save_clusters(model: ClusterModel, path) -> bytes | None:
     arrays = [model.iou_weight, model.feature_mean, model.feature_scale, model.centroids,
               model.p95_radius, model.member_count, model.is_error]
-    write_binary_file(path, _CLU_LAYOUT, (model.centroids.shape[0], model.reduced_dim), arrays)
+    return write_binary_file(path, _CLU_LAYOUT, (model.centroids.shape[0], model.reduced_dim), arrays)
 
 
-def load_clusters(path) -> ClusterModel:
-    with read_binary_file(path, "a cluster model", _CLU_LAYOUT) as (_, arrays):
+def load_clusters(path, blob: bytes | None = None) -> ClusterModel:
+    with read_binary_file(path, "a cluster model", _CLU_LAYOUT, blob) as (_, arrays):
         iou_weight, mean, scale, centroids, radii, counts, flags = arrays
         return ClusterModel(centroids, float(iou_weight), mean, scale, counts, radii, flags)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .metrics import DEFAULT_KNN_K
 from .loop import DEFAULT_LOOP_K, DEFAULT_LOOP_LAMBDA
 from .pca import DEFAULT_VARIANCE_THRESHOLD
@@ -73,6 +75,9 @@ class Config:
         for name in _ABOVE_0:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{_KEY_OF[name]} must be positive")
+        with np.errstate(over="ignore"):  # clusters.bin stores the weight as float32
+            if not 0 < np.float32(self.cluster_iou_weight) < np.inf:
+                raise ConfigError(f"cluster.iou_weight = {self.cluster_iou_weight} is 0 or inf as float32")
         for weights in _WEIGHT_SETS:
             for name in weights:
                 if getattr(self, name) < 0.0:

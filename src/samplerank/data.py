@@ -20,6 +20,7 @@ A ``Corpus`` holds a file's records as columns; ``EmbeddingRecord`` is a plain v
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import re
@@ -163,18 +164,21 @@ def _first_fault(vectors: np.ndarray, ious, splits, ids) -> tuple[int, str] | No
                    "core records require measured_iou", f"duplicate id {ids[index]}")[check]
 
 
-def write_binary_file(path, layout, counts, arrays) -> None:
-    """Write the header *counts* and the payload *arrays* in *layout*, as ``read_binary_file`` reads them."""
+def write_binary_file(path, layout, counts, arrays) -> bytes | None:
+    """Write the header *counts* and the payload *arrays* in *layout*, as ``read_binary_file`` reads them,
+    or with *path* None return the bytes. A float its dtype cannot hold becomes inf, which the reader refuses."""
     magic, header, payload = layout
-    with open(path, "wb") as fh:
+    with np.errstate(over="ignore"), (io.BytesIO() if path is None else open(path, "wb")) as fh:
         fh.write(magic + struct.pack(header, *counts))
         for (dtype, shape), array in zip(payload(*counts), arrays, strict=True):
             fh.write(np.asarray(array).astype(dtype, copy=False).reshape(shape).tobytes())
+        return fh.getvalue() if path is None else None
 
 
 @contextmanager
-def read_binary_file(path, kind: str, layout):
-    """Read a whole binary file; yields ``(counts, arrays)`` to the block that builds its contents.
+def read_binary_file(path, kind: str, layout, blob: bytes | None = None):
+    """Read a whole binary file, or the bytes *blob* in its place, named *path*; yields ``(counts, arrays)``
+    to the block that builds its contents.
 
     *layout* is ``(magic, header, payload)``: the file holds the 4-byte magic, the counts packed by
     the ``struct`` format *header*, then back to back, with nothing after, the arrays that
@@ -184,8 +188,9 @@ def read_binary_file(path, kind: str, layout):
     message "not <kind> file". A ValueError raised in the block leaves as a DataFormatError naming the file.
     """
     magic, header, payload = layout
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     if blob[:4] != magic:
         raise DataFormatError(f"{path}: not {kind} file")
     offset = 4 + struct.calcsize(header)

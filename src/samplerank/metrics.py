@@ -81,11 +81,11 @@ def predict_iou_batch(predictor: IouPredictor, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def save_predictor(predictor: IouPredictor, path) -> None:
+def save_predictor(predictor: IouPredictor, path) -> bytes | None:
     counts = (*predictor.points.shape, predictor.k)
-    write_binary_file(path, _IOP_LAYOUT, counts, [predictor.points, predictor.ious])
+    return write_binary_file(path, _IOP_LAYOUT, counts, [predictor.points, predictor.ious])
 
 
-def load_predictor(path) -> IouPredictor:
-    with read_binary_file(path, "an IoU predictor", _IOP_LAYOUT) as ((_, _, k), (points, ious)):
+def load_predictor(path, blob: bytes | None = None) -> IouPredictor:
+    with read_binary_file(path, "an IoU predictor", _IOP_LAYOUT, blob) as ((_, _, k), (points, ious)):
         return IouPredictor(points=points, ious=ious, k=k)

@@ -148,11 +148,11 @@ def explained_variance_ratio(model: PcaModel) -> np.ndarray:
     return model.eigenvalues / model.total_variance
 
 
-def save_pca(model: PcaModel, path) -> None:
+def save_pca(model: PcaModel, path) -> bytes | None:
     arrays = [model.total_variance, model.mean, model.components, model.eigenvalues]
-    write_binary_file(path, _PCA_LAYOUT, (model.dimension, model.n_components), arrays)
+    return write_binary_file(path, _PCA_LAYOUT, (model.dimension, model.n_components), arrays)
 
 
-def load_pca(path) -> PcaModel:
-    with read_binary_file(path, "a PCA model", _PCA_LAYOUT) as (_, (total, mean, components, eigenvalues)):
+def load_pca(path, blob: bytes | None = None) -> PcaModel:
+    with read_binary_file(path, "a PCA model", _PCA_LAYOUT, blob) as (_, (total, mean, components, eigenvalues)):
         return PcaModel(mean, components, eigenvalues, float(total))

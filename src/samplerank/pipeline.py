@@ -6,6 +6,10 @@ predictor and clustering on the reference corpus, then derive per-sample
 features (normalised cluster distance, predicted IoU, outlier probability
 over the pool alone, orphan/error membership) for the unlabelled pool and
 evaluate both priority formulas.
+
+``fit_models`` returns each model decoded from the bytes of its file in
+``MODEL_FILES``, so ``compute_scores``, the budget sweep and CLI ``rank``
+score one model and write one queue, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ class FittedModels:
     clusters: clustering.ClusterModel
 
 
+# each FittedModels field's file in fit's output directory, with that file's writer and reader
+MODEL_FILES = {
+    "reduction": ("pca.bin", pca.save_pca, pca.load_pca),
+    "predictor": ("iou_refs.bin", metrics.save_predictor, metrics.load_predictor),
+    "clusters": ("clusters.bin", clustering.save_clusters, clustering.load_clusters),
+}
+
+
 def _subseeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
@@ -45,7 +57,7 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     The reduction is fitted on the core and the pool together, or on the
     core alone when *finetune* is None.
     A count of 0 in *params* (PCA rank, cluster counts) selects the stage's
-    default rule.
+    default rule. The models come back as their files store them.
     """
     parts = (core,) if finetune is None else (core, finetune)
     fit_matrix = np.concatenate([part.vectors() for part in parts])  # float32, one allocation
@@ -65,7 +77,10 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     low = int((core_ious < clustering.ERROR_IOU_THRESHOLD).sum())
     k_err = _count(params, "cluster_k_err", low, "count of references below the error IoU threshold")
     clusters = clustering.fit_error_clusters(clusters, core_reduced, core_ious, k_err=k_err, seed=seed_err)
-    return FittedModels(reduction=reduction, predictor=predictor, clusters=clusters)
+    fitted = {"reduction": reduction, "predictor": predictor, "clusters": clusters}
+    # as stored: each model through its file's codec, whose reader refuses what the file cannot hold
+    stored = {key: load(name, save(fitted[key], None)) for key, (name, save, load) in MODEL_FILES.items()}
+    return FittedModels(**stored)
 
 
 def score_finetune(

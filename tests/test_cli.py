@@ -305,6 +305,20 @@ class TestInputErrors:
         assert f"samplerank: error: {message} (fitting {fitted})" in capsys.readouterr().err
         assert not (tmp_path / "pca.bin").exists()
 
+    def test_model_value_float32_cannot_hold_exits_2_writing_no_file(self, embedding_files, tmp_path, capsys):
+        """Vectors scaled by 1e19 still fit float32, but their PCA variances overflow it: fit refuses the
+        model that rank would refuse, before it writes any file, and no numpy warning escapes."""
+        for path in embedding_files:
+            corpus = load_embeddings(path)
+            scaled = corpus.vectors() * np.float32(1e19)
+            save_embeddings(Corpus(columns=(corpus.ids, scaled, corpus._ious, corpus.splits)), tmp_path / path.name)
+        core, ft = (str(tmp_path / path.name) for path in embedding_files)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "fit", "--core", core, "--finetune", ft]) == 2
+        err = capsys.readouterr().err
+        assert f"samplerank: error: pca.bin: non-finite value at byte 12 (fitting {core} and {ft})" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_outputs_and_row_count(self, tmp_path):
@@ -442,6 +456,28 @@ class TestUsageAndConfig:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "subcommand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["1e200", "1e100", "3.5e38", "1e-300", "7e-46"])
+    def test_iou_weight_float32_stores_as_0_or_inf_exits_1_naming_it(self, embedding_files, tmp_path, capsys, weight):
+        """clusters.bin stores the weight as float32; no numpy warning escapes the check."""
+        core, ft = embedding_files
+        cfg = tmp_path / "weight.cfg"
+        cfg.write_text(f"cluster.iou_weight = {weight}\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "fit", "--core", str(core),
+                     "--finetune", str(ft)]) == 1
+        expected = f"samplerank: config error: cluster.iou_weight = {float(weight)} is 0 or inf as float32\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "pca.bin").exists()
+
+    @pytest.mark.parametrize("weight", ["1e-45", "3.4028235e38"])
+    def test_iou_weight_at_float32_extremes_fits_and_ranks(self, embedding_files, tmp_path, capsys, weight):
+        core, ft = embedding_files
+        cfg = tmp_path / "weight.cfg"
+        cfg.write_text(f"cluster.iou_weight = {weight}\n")
+        args = ["--config", str(cfg), "--out-dir", str(tmp_path)]
+        assert main([*args, "fit", "--core", str(core), "--finetune", str(ft)]) == 0, capsys.readouterr().err
+        for strategy in ("bps", "mps"):
+            assert main([*args, "rank", "--finetune", str(ft), "--strategy", strategy]) == 0, capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

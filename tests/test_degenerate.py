@@ -1,9 +1,9 @@
 """Degenerate inputs that the pipeline handles: tiny pools and cores, flat data, extreme ids.
 
 Each case runs through ``compute_scores`` + ``write_queue_csv`` and through
-CLI ``fit`` + ``rank`` on binary embedding files. The queue must hold every
-pool id exactly once, ranked 1..n in non-increasing score order, with every
-feature and score in [0,1].
+CLI ``fit`` + ``rank`` on binary embedding files, at one seed. The two queues
+must have equal bytes, and hold every pool id exactly once, ranked 1..n in
+non-increasing score order, with every feature and score in [0,1].
 """
 
 import csv
@@ -94,14 +94,18 @@ def test_library_queue(name, tmp_path):
 
 @pytest.mark.parametrize("name", CASES)
 def test_cli_queue(name, tmp_path, capsys):
+    """CLI ``fit`` + ``rank`` writes a valid queue, with the bytes of the library's queue at the same seed."""
     core, pool = _case(name)
     save_embeddings(core, tmp_path / "core.emb")
     save_embeddings(pool, tmp_path / "pool.emb")
-    out = str(tmp_path / "out")
+    cli = ["--seed", "3", "--out-dir", str(tmp_path / "out")]
     pool_path = str(tmp_path / "pool.emb")
-    assert main(["--out-dir", out, "fit", "--core", str(tmp_path / "core.emb"),
-                 "--finetune", pool_path]) == 0, capsys.readouterr().err
+    fit = [*cli, "fit", "--core", str(tmp_path / "core.emb"), "--finetune", pool_path]
+    assert main(fit) == 0, capsys.readouterr().err
+    scores = compute_scores(core, pool, seed=3)
     for strategy in ("bps", "mps"):
-        assert main(["--out-dir", out, "rank", "--finetune", pool_path,
-                     "--strategy", strategy]) == 0, capsys.readouterr().err
+        library = tmp_path / f"{strategy}.csv"
+        write_queue_csv(scores, strategy, library)
+        assert main([*cli, "rank", "--finetune", pool_path, "--strategy", strategy]) == 0, capsys.readouterr().err
         _assert_valid_queue(tmp_path / "out" / "queue.csv", pool)
+        assert (tmp_path / "out" / "queue.csv").read_bytes() == library.read_bytes(), strategy
