@@ -68,8 +68,8 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def kmeans(
     points: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels, squared distances to them)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty (N, dim) array")
@@ -104,7 +104,7 @@ def kmeans(
             break
         prev_inertia = inertia
 
-    return centres, nearest(points, centres)[0].ravel()
+    return (centres, *map(np.ravel, nearest(points, centres)))
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,9 @@ class OrphanReport:
 
 def _fit(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means over *points*: (centroids, member counts, 95th-percentile member distances)."""
-    centres, labels = kmeans(points, k, seed)
+    centres, labels, d2 = kmeans(points, k, seed)
     counts = np.bincount(labels, minlength=k)
-    dists = np.sqrt(((points - centres[labels]) ** 2).sum(axis=1))
+    dists = np.sqrt(d2)
     radii = [np.percentile(dists[labels == j], 95) if counts[j] else 0.0 for j in range(k)]
     return centres, counts, np.array(radii)
 
@@ -303,7 +303,7 @@ def detect_orphans(
     ft_points = np.asarray(ft_points, dtype=np.float64)
     if k_ft is None:
         k_ft = default_cluster_count(len(ft_points))
-    centres, labels = kmeans(ft_points, k_ft, seed)  # checks the points and k_ft
+    centres, labels, _ = kmeans(ft_points, k_ft, seed)  # checks the points and k_ft
     orphaned = _holding(model, centres, model.core_indices) < 0
 
     sizes = np.bincount(labels, minlength=k_ft)

@@ -11,7 +11,7 @@ Embeddings travel in two interchangeable encodings:
   iou field means absent; floats written with 9 significant digits. Fields
   are never quoted (no field can hold a comma or a quote), so the reader
   takes a line's commas as its field separators and rejects any quote
-  character. numpy parses all vector columns in one pass.
+  character. numpy parses the vector columns; errors name the first bad record.
 
 A ``Corpus`` holds a file's records as columns; ``EmbeddingRecord`` is a plain value that only
 ``Corpus(records)`` checks. Masks are never read from files: ``BinaryMask`` lives in memory, for
@@ -231,10 +231,9 @@ def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
 
 def load_embeddings(path) -> Corpus:
     """Load a corpus: binary when the file starts with the ``EMB1`` magic, CSV otherwise."""
-    with open(path, "rb", buffering=0) as fh:  # unbuffered: a buffered read() after the seek is ~10x slower
-        binary = fh.read(4) == _EMB_MAGIC
-        fh.seek(0)
-        columns = _load_binary(path) if binary else _load_csv(path, fh.read())
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    columns = _load_binary(path, blob) if blob[:4] == _EMB_MAGIC else _load_csv(path, blob)
     try:
         return Corpus(columns=columns)
     except ValueError as exc:  # it names the record
@@ -254,8 +253,8 @@ def _save_binary(corpus: Corpus, path) -> None:
     write_binary_file(path, _EMB_LAYOUT, (len(corpus), corpus.dimension, corpus.splits[0]), [table.view(np.uint8)])
 
 
-def _load_binary(path) -> tuple:
-    with read_binary_file(path, "an embedding", _EMB_LAYOUT) as ((count, dim, split), (raw,)):
+def _load_binary(path, blob: bytes) -> tuple:
+    with read_binary_file(path, "an embedding", _EMB_LAYOUT, blob) as ((count, dim, split), (raw,)):
         if split not in (0, 1):
             raise ValueError(f"unknown split flag {split}")
         if dim == 0:
@@ -304,33 +303,35 @@ def _load_csv(path, blob: bytes) -> tuple:
     dim = len(header) - 3
     if header[3:] != [f"v{i}" for i in range(dim)]:
         raise DataFormatError(f"{path}: malformed vector columns in header")
-    rows = lines[1:]
-    for index, line in enumerate(rows):
-        if line.count(b",") != 2 + dim:
-            raise DataFormatError(f"{path}: record {index}: expected {3 + dim} fields, got {line.count(b',') + 1}")
-    try:  # every row holds 3 + dim fields, so numpy's row i is record i; numpy warns on no rows
-        vectors = np.loadtxt(
-            rows, np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2, encoding="utf-8"
-        ) if rows else np.empty((0, dim), np.float32)
-    except ValueError as exc:
-        bad = re.search(r"at row (\d+), column (\d+)", str(exc))
-        if bad is None:
-            raise DataFormatError(f"{path}: {exc}") from None
-        index, column = int(bad[1]), int(bad[2]) - 1
-        value = rows[index].split(b",")[column].decode()
-        raise DataFormatError(f"{path}: record {index}: v{column - 3} is not a number: {value!r}") from None
-    ids, ious, splits = [], [], []
-    for index, row in enumerate(rows):
+    rows, ids, ious, splits, fault = lines[1:], [], [], [], None
+    for index, row in enumerate(rows):  # up to the first record whose fields cannot be parsed
         try:
+            if row.count(b",") != 2 + dim:
+                raise ValueError(f"expected {3 + dim} fields, got {row.count(b',') + 1}")
             rec_id, split, text = (field.decode() for field in row.split(b",", 3)[:3])
             ids.append(int(rec_id))
             ious.append(float(text) if text else math.nan)
             splits.append(_split_index(ids[-1], split))
             if text and math.isnan(ious[-1]):  # the IoU column's NaN marks an empty field
                 raise ValueError(f"measured_iou must lie in [0,1], got {ious[-1]!r}")
-        except ValueError as exc:  # a fault of an earlier record comes first
-            fault = _first_fault(vectors[:index], ious[:index], splits[:index], ids[:index])
-            raise DataFormatError(f"{path}: " + "record %d: %s" % (fault or (index, exc))) from None
+        except ValueError as exc:
+            fault = index, exc
+            break
+    vectors, stop = None, len(rows) if fault is None else fault[0]
+    while vectors is None:  # numpy parses the vectors before the stop; a row it cannot parse becomes the stop
+        try:  # every row before the stop holds 3 + dim fields, so numpy's row i is record i; it warns on no rows
+            vectors = np.loadtxt(
+                rows[:stop], np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2,
+                encoding="utf-8") if stop else np.empty((0, dim), np.float32)
+        except ValueError as exc:
+            bad = re.search(r"at row (\d+), column (\d+)", str(exc))
+            if bad is None:
+                raise DataFormatError(f"{path}: {exc}") from None
+            stop, column = int(bad[1]), int(bad[2]) - 1
+            fault = stop, f"v{column - 3} is not a number: {rows[stop].split(b',')[column].decode()!r}"
+    if fault is not None:  # a column fault of an earlier record comes first
+        ids, ious, splits = ids[:stop], ious[:stop], splits[:stop]
+        raise DataFormatError(f"{path}: record %d: %s" % (_first_fault(vectors, ious, splits, ids) or fault))
     return ids, vectors, np.array(ious), splits
 
 

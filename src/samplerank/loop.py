@@ -50,11 +50,7 @@ def fit_loop(
     sigma = np.sqrt(d2.mean(axis=1))
     pdist = lam * sigma
     expected = pdist[neighbours].mean(axis=1)
-    plof = np.where(
-        expected > 0.0,
-        pdist / np.maximum(expected, _EPS) - 1.0,
-        np.where(pdist > 0.0, pdist / _EPS - 1.0, 0.0),
-    )
+    plof = np.where((expected > 0.0) | (pdist > 0.0), pdist / np.maximum(expected, _EPS) - 1.0, 0.0)
     nplof = lam * math.sqrt(float((plof**2).mean()))
     if nplof == 0.0:
         return np.zeros(n)

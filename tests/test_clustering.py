@@ -36,7 +36,8 @@ class TestKmeans:
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(0)
         pts = _blobs(rng, [(0, 0), (10, 10)], 60)
-        centres, labels = kmeans(pts, 2, seed=1)
+        centres, labels, d2 = kmeans(pts, 2, seed=1)
+        np.testing.assert_allclose(d2, ((pts - centres[labels]) ** 2).sum(axis=1), rtol=1e-12)
         for blob in (pts[:60], pts[60:]):
             gaps = np.sqrt(((centres - blob.mean(axis=0)) ** 2).sum(axis=1))
             assert gaps.min() < 0.1
@@ -45,7 +46,7 @@ class TestKmeans:
     def test_k_equals_n(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(8, 2))
-        centres, labels = kmeans(pts, 8, seed=2)
+        centres, labels, _ = kmeans(pts, 8, seed=2)
         assert sorted(labels.tolist()) == list(range(8))
         np.testing.assert_allclose(centres[labels], pts, atol=1e-12)
 
@@ -100,7 +101,7 @@ class TestCoreClusterFit:
         reduced = _blobs(rng, [(0, 0), (6, 6), (-6, 6)], 30)
         z = (reduced - reduced.mean(axis=0)) / reduced.std(axis=0)
 
-        _, plain_labels = kmeans(z, 3, seed=9)
+        _, plain_labels, _ = kmeans(z, 3, seed=9)
         model_lo = fit_core_clusters(reduced, np.full(90, 0.2), k=3, seed=9)
         model_hi = fit_core_clusters(reduced, np.full(90, 0.9), k=3, seed=9)
         for model, iou_value in ((model_lo, 0.2), (model_hi, 0.9)):
@@ -375,7 +376,7 @@ class TestOrphans:
         ft = model.augment(np.vstack([reduced[::2], far]), np.full(115, 0.7))
         report = detect_orphans(model, ft, k_ft=8, seed=29)
 
-        centres, labels = kmeans(ft, 8, seed=29)
+        centres, labels, _ = kmeans(ft, 8, seed=29)
         core = model.core_indices
         flags = np.array([
             all(np.sqrt(((c - model.centroids[j]) ** 2).sum()) > model.p95_radius[j] for j in core)

@@ -313,6 +313,24 @@ class TestCsvLoader:
         with pytest.raises(DataFormatError, match="c.csv: record 3: expected 9 fields, got 8"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["0,finetune,,1", "x,finetune,,1", "2,finetune,,1,5"], "record 1: invalid literal for int() with base 10: 'x'"),
+        (["0,finetune,,1", "x,finetune,,1", "2,finetune,,zz"], "record 1: invalid literal for int() with base 10: 'x'"),
+        (["7,finetune,,1", "7,finetune,,1", "2,finetune,,zz"], "record 1: duplicate id 7"),
+        (["0,finetune,2,1", "1,finetune,,1,5"], "record 0: measured_iou must lie in [0,1], got 2.0"),
+        (["0,core,,1", "1,finetune,,zz"], "record 0: core records require measured_iou"),
+        (["0,finetune,,inf", "1,finetune,,1", "2,finetune,,zz"], "record 0: vector contains non-finite values"),
+        (["0,finetune,,1", "1,finetune,,1,5"], "record 1: expected 4 fields, got 5"),
+        (["0,finetune,,1", "1,finetune,,zz"], "record 1: v0 is not a number: 'zz'"),
+    ], ids=["bad-id-then-fields", "bad-id-then-number", "duplicate-then-number", "iou-then-fields",
+            "core-without-iou-then-number", "inf-then-number", "only-fields", "only-number"])
+    def test_first_bad_record_is_named_whatever_its_fault(self, tmp_path, rows, message):
+        path = tmp_path / "c.csv"
+        path.write_text("id,split,iou,v0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_header_only_csv_loads_empty_without_warning(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("id,split,iou,v0,v1\n")
