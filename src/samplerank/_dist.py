@@ -19,9 +19,10 @@ internals.
   ``np.partition`` of the (rows, nb) block minima gives t_i. The minima are
   values of nb distinct columns, so t_i is at least the row's k-th value
   (at k = 1 it is that value, the row minimum). The blocks are strided
-  because pool ids come in generator order: contiguous blocks would put a
-  novel sample's neighbours in one block and loosen t_i. The candidates
-  are ``np.flatnonzero(g_ij <= t_i + s_i)``. On 7 x 8,800, 32 x 2,000 and
+  because the IoU search's *b*, the reference corpus, can come mode by mode
+  (``generate_synthetic`` writes it so): contiguous blocks would put a
+  query's neighbours in few blocks and loosen t_i. The candidates are
+  ``np.flatnonzero(g_ij <= t_i + s_i)``. On 7 x 8,800, 32 x 2,000 and
   655 x 100 tiles the block bound took 0.5-1.0 ns per entry, where
   partitioning a copy of g took 1.5-2.7 (2-vCPU VM, one BLAS thread). On
   rows of 16 columns it is the slower one, 4.3 against 3.3.
@@ -122,8 +123,6 @@ def nearest(
             _in_order(q.take(rows[s : s + step], axis=0), b.take(cols[s : s + step], axis=0))
             for s in range(0, len(rows), step)
         ])
-        if exclude_self:
-            exact[cols == rows + start] = np.inf
         counts = np.bincount(rows, minlength=n)
         first = np.cumsum(counts) - counts  # each row's candidates, in index order
         pad = np.full((n, counts.max()), np.inf)

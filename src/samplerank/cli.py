@@ -79,7 +79,7 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
     """Load a non-empty corpus of *what* records, of length *dimension* if it is given."""
     if not path:
         raise ConfigError(f"no {what} embeddings path configured")
-    if not os.path.isfile(path):  # a pipe cannot be sniffed and read again
+    if not os.path.isfile(path):  # opening a FIFO blocks until a writer appears; a directory is no file
         raise FileNotFoundError(f"{what} embeddings file not found: {path}")
     corpus = load_embeddings(path)
     if len(corpus) == 0:
@@ -100,7 +100,7 @@ def cmd_fit(config: Config, args) -> int:
     if config.finetune_embeddings:
         finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, core.dimension)
     try:
-        models = pipeline.fit_models(core, finetune, config, seed=config.seed)
+        models = pipeline.fit_models(core, finetune, config)
     except ValueError as exc:  # name the files the models were fitted on
         fitted = " and ".join(filter(None, (config.core_embeddings, config.finetune_embeddings)))
         raise ValueError(f"{exc} (fitting {fitted})") from None
@@ -135,7 +135,7 @@ def cmd_rank(config: Config, args) -> int:
                 f"{paths[key]} has dimension {dim}"
             )
     finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, models.reduction.dimension)
-    scores = pipeline.score_finetune(models, finetune, config, seed=config.seed)
+    scores = pipeline.score_finetune(models, finetune, config)
     queue_path = os.path.join(config.out_dir, "queue.csv")
     scoring.write_queue_csv(scores, config.strategy, queue_path)
     print(f"ranked {len(scores)} samples -> {queue_path}", file=sys.stderr)

@@ -132,7 +132,7 @@ def run_budget_sweep(
     for step in range(n_seeds):
         seed = spec.seed + step
         core, finetune, truth = generate_synthetic(replace(spec, seed=seed))
-        scores = compute_scores(core, finetune, params, seed=seed)
+        scores = compute_scores(core, finetune, replace(params, seed=seed))
         position = {rec_id: i for i, rec_id in enumerate(finetune.ids.tolist())}
         vectors = finetune.vectors().astype(np.float64)  # cast once, not in every coverage step
         for strategy in strategies:

@@ -39,10 +39,6 @@ MODEL_FILES = {
 }
 
 
-def _subseeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(n)
-
-
 def _count(params: Config, name: str, bound: int, of: str) -> int | None:
     """Count setting *name*, None for 0 (the stage's rule); above a positive *bound* it names its key."""
     value = getattr(params, name)
@@ -51,7 +47,7 @@ def _count(params: Config, name: str, bound: int, of: str) -> int | None:
     return value or None
 
 
-def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(), seed: int = 0) -> FittedModels:
+def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config()) -> FittedModels:
     """Fit reduction + IoU predictor + clusters (core and error) on the reference corpus.
 
     The reduction is fitted on the core and the pool together, or on the
@@ -69,7 +65,7 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     core_ious = core.measured_ious()
     predictor = metrics.IouPredictor(core_reduced, core_ious, k=min(params.knn_k, len(core)))
 
-    seed_core, seed_err = _subseeds(seed, 2)
+    seed_core, seed_err = np.random.SeedSequence(params.seed).spawn(2)
     k = _count(params, "cluster_k", len(core), "reference sample count")
     clusters = clustering.fit_core_clusters(
         core_reduced, core_ious, k=k, iou_weight=params.cluster_iou_weight, seed=seed_core
@@ -83,9 +79,7 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config(),
     return FittedModels(**stored)
 
 
-def score_finetune(
-    models: FittedModels, finetune: Corpus, params: Config = Config(), seed: int = 0
-) -> Scores:
+def score_finetune(models: FittedModels, finetune: Corpus, params: Config = Config()) -> Scores:
     """Compute every feature for the unlabelled pool and both priority scores."""
     if len(finetune) == 0:
         return score_all(*[np.empty(0)] * 6, params=params)
@@ -94,7 +88,7 @@ def score_finetune(
 
     ft_points = models.clusters.augment(ft_reduced, pred_ious)
     _, raw_dist = clustering.classify_batch(models.clusters, ft_points)
-    (seed_ft,) = _subseeds(seed, 3)[2:]
+    seed_ft = np.random.SeedSequence(params.seed).spawn(3)[2]  # fit_models spawns the first two
     k_ft = _count(params, "cluster_k_ft", len(finetune), "fine-tuning sample count")
     report = clustering.detect_orphans(models.clusters, ft_points, k_ft=k_ft, seed=seed_ft)
 
@@ -113,9 +107,6 @@ def score_finetune(
     )
 
 
-def compute_scores(
-    core: Corpus, finetune: Corpus, params: Config = Config(), seed: int = 0
-) -> Scores:
-    """Full run over in-memory corpora; one master seed fixes every stage."""
-    models = fit_models(core, finetune, params, seed)
-    return score_finetune(models, finetune, params, seed)
+def compute_scores(core: Corpus, finetune: Corpus, params: Config = Config()) -> Scores:
+    """Full run over in-memory corpora; ``params.seed``, the master seed, fixes every stage."""
+    return score_finetune(fit_models(core, finetune, params), finetune, params)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from samplerank.cli import main
+from samplerank.config import Config
 from samplerank.data import Corpus, EmbeddingRecord, save_embeddings
 from samplerank.pipeline import compute_scores
 from samplerank.scoring import write_queue_csv
@@ -85,7 +86,7 @@ def _assert_valid_queue(path, pool):
 @pytest.mark.parametrize("name", CASES)
 def test_library_queue(name, tmp_path):
     core, pool = _case(name)
-    scores = compute_scores(core, pool, seed=3)
+    scores = compute_scores(core, pool, Config(seed=3))
     for strategy in ("bps", "mps"):
         path = tmp_path / f"{strategy}.csv"
         write_queue_csv(scores, strategy, path)
@@ -102,7 +103,7 @@ def test_cli_queue(name, tmp_path, capsys):
     pool_path = str(tmp_path / "pool.emb")
     fit = [*cli, "fit", "--core", str(tmp_path / "core.emb"), "--finetune", pool_path]
     assert main(fit) == 0, capsys.readouterr().err
-    scores = compute_scores(core, pool, seed=3)
+    scores = compute_scores(core, pool, Config(seed=3))
     for strategy in ("bps", "mps"):
         library = tmp_path / f"{strategy}.csv"
         write_queue_csv(scores, strategy, library)

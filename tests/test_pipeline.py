@@ -10,6 +10,7 @@ from samplerank import clustering, metrics, pca
 from samplerank.cli import main
 from samplerank.data import Corpus, EmbeddingRecord, save_embeddings
 from samplerank.config import Config
+from samplerank.harness import run_budget_sweep
 from samplerank.pipeline import FittedModels, compute_scores, fit_models, score_finetune
 from samplerank.scoring import Scores, write_queue_csv
 from samplerank.synthetic import CoreClusterSpec, NovelClusterSpec, SyntheticSpec, default_spec, generate_synthetic
@@ -28,20 +29,33 @@ def small_data():
 class TestComputeScores:
     def test_deterministic_under_seed(self, small_data):
         core, ft, _ = small_data
-        a = compute_scores(core, ft, seed=5)
-        b = compute_scores(core, ft, seed=5)
+        a = compute_scores(core, ft, Config(seed=5))
+        b = compute_scores(core, ft, Config(seed=5))
         for name in COLUMNS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    def test_config_seed_reaches_every_seeded_stage(self, small_data):
+        """``Config.seed`` is the one master seed: another seed reseeds the k-means stages."""
+        core, ft, _ = small_data
+        a = compute_scores(core, ft, Config(seed=7))
+        b = compute_scores(core, ft, Config(seed=8))
+        assert not np.array_equal(a.orph, b.orph)
+        assert not np.array_equal(a.mps, b.mps)
+
+    def test_sweep_seeds_come_from_the_spec(self):
+        """The sweep runs each seed of its spec, whatever seed *params* carries."""
+        spec = replace(default_spec(seed=21), core_n=300, ft_n=360)
+        assert run_budget_sweep(spec, [50, 200], params=Config(seed=999)) == run_budget_sweep(spec, [50, 200])
+
     def test_one_score_per_pool_sample(self, small_data):
         core, ft, _ = small_data
-        scores = compute_scores(core, ft, seed=5)
+        scores = compute_scores(core, ft, Config(seed=5))
         assert len(scores) == len(ft)
         assert scores.ids.tolist() == ft.ids.tolist()
 
     def test_all_features_in_unit_interval(self, small_data):
         core, ft, _ = small_data
-        scores = compute_scores(core, ft, seed=5)
+        scores = compute_scores(core, ft, Config(seed=5))
         for name in COLUMNS[1:]:
             values = getattr(scores, name)
             bad = ~((values >= 0.0) & (values <= 1.0))
@@ -49,14 +63,14 @@ class TestComputeScores:
 
     def test_outliers_get_high_loop_and_max_dist(self, small_data):
         core, ft, truth = small_data
-        scores = compute_scores(core, ft, seed=5)
+        scores = compute_scores(core, ft, Config(seed=5))
         assert truth.is_outlier.any(), "fixture should contain outliers"
         assert np.mean(scores.loop[truth.is_outlier]) > 0.8
         assert scores.dist.max() == 1.0
 
     def test_novel_samples_receive_orphan_weight(self, small_data):
         core, ft, truth = small_data
-        scores = compute_scores(core, ft, seed=5)
+        scores = compute_scores(core, ft, Config(seed=5))
         novel = scores.orph[truth.is_novel]
         base = scores.orph[~truth.is_novel & ~truth.is_outlier]
         assert np.mean(novel) > 0.5
@@ -64,13 +78,13 @@ class TestComputeScores:
 
     def test_core_only_pca_fit_option(self, small_data):
         core, ft, _ = small_data
-        pooled = fit_models(core, ft, Config(), seed=5)
-        core_only = fit_models(core, None, Config(), seed=5)
+        pooled = fit_models(core, ft, Config(seed=5))
+        core_only = fit_models(core, None, Config(seed=5))
         assert not np.array_equal(pooled.reduction.mean, core_only.reduction.mean)
 
     def test_empty_pool_gives_empty_scores(self, small_data):
         core, ft, _ = small_data
-        models = fit_models(core, None, Config(), seed=5)
+        models = fit_models(core, None, Config(seed=5))
         no_pool = Corpus(columns=((), np.empty((0, core.dimension), np.float32), (), ()))
         empty = score_finetune(models, no_pool, Config())
         assert len(empty) == 0
@@ -80,9 +94,9 @@ class TestComputeScores:
 class TestModelPersistencePath:
     def test_scores_survive_the_save_load_cycle(self, small_data, tmp_path):
         core, ft, _ = small_data
-        params = Config()
-        models = fit_models(core, ft, params, seed=9)
-        direct = score_finetune(models, ft, params, seed=9)
+        params = Config(seed=9)
+        models = fit_models(core, ft, params)
+        direct = score_finetune(models, ft, params)
 
         pca.save_pca(models.reduction, tmp_path / "pca.bin")
         clustering.save_clusters(models.clusters, tmp_path / "clu.bin")
@@ -92,7 +106,7 @@ class TestModelPersistencePath:
             predictor=metrics.load_predictor(tmp_path / "iou.bin"),
             clusters=clustering.load_clusters(tmp_path / "clu.bin"),
         )
-        loaded = score_finetune(reloaded, ft, params, seed=9)
+        loaded = score_finetune(reloaded, ft, params)
         # fit_models returns the models as stored, so a save and load changes no bit of any column
         for name in COLUMNS:
             assert np.array_equal(getattr(direct, name), getattr(loaded, name)), name
@@ -104,7 +118,7 @@ class TestModelPersistencePath:
         save_embeddings(ft, tmp_path / "ft.emb")
         cli = ["--seed", str(seed), "--out-dir", str(tmp_path)]
         assert main([*cli, "fit", "--core", str(tmp_path / "core.emb"), "--finetune", str(tmp_path / "ft.emb")]) == 0
-        scores = compute_scores(core, ft, seed=seed)
+        scores = compute_scores(core, ft, Config(seed=seed))
         for strategy in ("bps", "mps"):
             write_queue_csv(scores, strategy, tmp_path / f"library_{strategy}.csv")
             assert main([*cli, "rank", "--finetune", str(tmp_path / "ft.emb"), "--strategy", strategy]) == 0
@@ -129,17 +143,17 @@ class TestErrorFeature:
     def test_pool_copies_of_low_iou_references_get_err(self, small_data, with_copies):
         core, ft, _ = small_data
         pool, n_copies = with_copies
-        assert np.count_nonzero(compute_scores(core, ft, seed=5).err) == 0
-        scores = compute_scores(core, pool, seed=5)
+        assert np.count_nonzero(compute_scores(core, ft, Config(seed=5)).err) == 0
+        scores = compute_scores(core, pool, Config(seed=5))
         assert n_copies >= 10
         assert np.count_nonzero(scores.err[len(ft):]) >= 0.75 * n_copies
 
     def test_mps_follows_its_err_weight(self, small_data, with_copies):
         core, _, _ = small_data
         pool, _ = with_copies
-        base = compute_scores(core, pool, seed=5)
+        base = compute_scores(core, pool, Config(seed=5))
         shifted = Config(mps_a=0.25, mps_b=0.5)
-        moved = compute_scores(core, pool, shifted, seed=5)
+        moved = compute_scores(core, pool, replace(shifted, seed=5))
         # moving 0.25 from orph to err raises mps exactly where err > orph and loop < 1
         gains = (base.err > base.orph) & (base.loop < 1.0)
         assert np.count_nonzero(gains) >= 10
@@ -160,7 +174,7 @@ class TestErrorFeature:
             novel_clusters=(), outlier_fraction=0.0, core_n=400, ft_n=200, seed=11,
         )
         core, pool, _ = generate_synthetic(spec)
-        scores = compute_scores(core, pool, seed=11)
+        scores = compute_scores(core, pool, Config(seed=11))
         assert scores.pred_iou.max() < 0.45
         assert np.mean(scores.err > 0.0) > 0.75
         assert scores.err.max() == 1.0
