@@ -149,18 +149,13 @@ def cmd_simulate(config: Config, args) -> int:
     result = harness.run_budget_sweep(
         spec,
         budgets=config.sim_budgets,
-        strategies=harness.ALL_STRATEGIES,
         n_seeds=config.sim_n_seeds,
         params=config,
     )
     os.makedirs(config.out_dir, exist_ok=True)
     sweep_path = os.path.join(config.out_dir, "sweep.csv")
     harness.write_sweep_csv(result, sweep_path)
-    harness.report(
-        result,
-        summary_path=os.path.join(config.out_dir, "summary.txt"),
-        aggregates_path=os.path.join(config.out_dir, "aggregates.csv"),
-    )
+    harness.report(result, config.out_dir)
     print(f"sweep written to {sweep_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -190,16 +185,9 @@ def cmd_scatter(config: Config, args) -> int:
 
 
 def cmd_report(config: Config, args) -> int:
-    path = args.sweep or os.path.join(config.out_dir, "sweep.csv")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"sweep file not found: {path}")
-    result = harness.read_sweep_csv(path)
+    result = harness.read_sweep_csv(args.sweep or os.path.join(config.out_dir, "sweep.csv"))
     os.makedirs(config.out_dir, exist_ok=True)
-    harness.report(
-        result,
-        summary_path=os.path.join(config.out_dir, "summary.txt"),
-        aggregates_path=os.path.join(config.out_dir, "aggregates.csv"),
-    )
+    harness.report(result, config.out_dir)
     print(f"summary written to {os.path.join(config.out_dir, 'summary.txt')}", file=sys.stderr)
     return EXIT_OK
 
@@ -209,26 +197,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _effective_config(args)
-    except ConfigError as exc:
-        print(f"samplerank: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.dump_config:
-        try:
+        if args.dump_config:
             with open(args.dump_config, "w") as fh:
                 fh.write(dump_config(config))
-        except OSError as exc:
-            print(f"samplerank: cannot write config dump: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        if args.run is None:
-            return EXIT_OK
-    elif args.run is None:
-        parser.print_usage(sys.stderr)
-        print("samplerank: error: a subcommand is required", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        return args.run(config, args)
+        elif args.run is None:
+            parser.print_usage(sys.stderr)
+            print("samplerank: error: a subcommand is required", file=sys.stderr)
+            return EXIT_USAGE
+        return args.run(config, args) if args.run else EXIT_OK
     except ConfigError as exc:
         print(f"samplerank: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

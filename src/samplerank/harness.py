@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,8 +201,9 @@ def export_scatter(ids, xy: np.ndarray, ious, splits, path) -> None:
             writer.writerow([rec_id, f"{point[0]:.9g}", f"{point[1]:.9g}", f"{iou_value:.9g}", split])
 
 
-def report(result: SweepResult, summary_path, aggregates_path) -> None:
-    """Write the per-budget summary table with the priority-vs-random verdict, and the same figures as CSV."""
+def report(result: SweepResult, out_dir) -> None:
+    """Write the per-budget summary table with the priority-vs-random verdict to ``out_dir/summary.txt``,
+    and the same figures to ``out_dir/aggregates.csv``."""
     if not result.rows:
         raise ValueError("empty sweep result")
     strategies = result.strategies()
@@ -226,7 +228,7 @@ def report(result: SweepResult, summary_path, aggregates_path) -> None:
     if paired:
         lines.append("priority_bps never reaches the random baseline" if last_winning is None
                      else f"largest budget with priority_bps >= random: {last_winning}")
-    with open(summary_path, "w") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(aggregates_path, "w", newline="") as fh:
+    with open(os.path.join(out_dir, "aggregates.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(table)

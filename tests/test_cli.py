@@ -229,6 +229,31 @@ class TestInputErrors:
         assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
         assert "pca.bin: need at least one component" in capsys.readouterr().err
 
+    def test_cluster_model_without_centroids_exits_2_naming_it(self, embedding_files, tmp_path, capsys):
+        core, ft = embedding_files
+        assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
+        path = tmp_path / "clusters.bin"
+        r = load_clusters(path).reduced_dim
+        blob = path.read_bytes()  # keep the weight, mean and scale; k = 0 leaves nothing after them
+        path.write_bytes(blob[:4] + struct.pack("<II", 0, r) + blob[12 : 12 + 4 * (1 + 2 * r)])
+        assert main(["--out-dir", str(tmp_path), "rank", "--finetune", str(ft)]) == 2
+        assert "clusters.bin: need at least one centroid" in capsys.readouterr().err
+        assert not (tmp_path / "queue.csv").exists()
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("split_2.emb", b"EMB1" + struct.pack("<IIB", 0, 3, 2), "unknown split flag 2"),
+        ("dimension_0.emb", b"EMB1" + struct.pack("<IIB", 0, 0, 0), "zero dimension in header"),
+        ("columns.csv", b"id,split,iou,v1\n0,core,0.5,1.0\n", "malformed vector columns in header"),
+        ("nan_iou.csv", b"id,split,iou,v0\n0,core,0.5,1.0\n1,core,nan,2.0\n",
+         "record 1: measured_iou must lie in [0,1], got nan"),
+    ], ids=["emb-split-flag", "emb-zero-dimension", "csv-vector-columns", "csv-nan-iou"])
+    def test_bad_embeddings_file_exits_2_naming_it(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["--out-dir", str(tmp_path / "out"), "fit", "--core", str(path)]) == 2
+        assert capsys.readouterr().err == f"samplerank: error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_core_split_pool_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
         out = str(tmp_path)
@@ -382,8 +407,10 @@ class TestScatterAndReport:
         assert main(["--out-dir", str(out), "report"]) == 0
         assert "largest budget" in (out / "summary.txt").read_text()
 
-    def test_report_missing_sweep_exits_2(self, tmp_path):
+    def test_report_missing_sweep_exits_2(self, tmp_path, capsys):
         assert main(["--out-dir", str(tmp_path), "report"]) == 2
+        sweep = tmp_path / "sweep.csv"
+        assert capsys.readouterr().err == f"samplerank: error: [Errno 2] No such file or directory: '{sweep}'\n"
 
     def test_report_creates_its_output_directory(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -412,6 +439,14 @@ class TestScatterAndReport:
         assert main(["--out-dir", str(tmp_path), "report", "--sweep", str(sweep)]) == 2
         assert f"{sweep}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "summary.txt").exists()
+
+    def test_sweep_without_quality_column_exits_2_naming_it(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("strategy,budget,seed\nrandom,10,1\n")
+        assert main(["--out-dir", str(tmp_path / "out"), "report", "--sweep", str(sweep)]) == 2
+        expected = f"samplerank: error: {sweep}: malformed sweep header ['strategy', 'budget', 'seed']\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
 
     def test_utf16_sweep_exits_2_naming_file_and_line(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -546,6 +581,19 @@ class TestUsageAndConfig:
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "scatter"]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("pca.variance_threshold", "0", "pca.variance_threshold must lie in (0, 1]"),
+        ("pca.variance_threshold", "1.5", "pca.variance_threshold must lie in (0, 1]"),
+        ("sim.budgets", "0,50", "sim.budgets must be positive"),
+        ("sim.budgets", "1:5", "bad value for sim.budgets: range syntax is start:stop:step, got '1:5'"),
+        ("sim.budgets", "5:10:0", "bad value for sim.budgets: range step must be positive"),
+    ])
+    def test_out_of_range_setting_is_usage_error_naming_key(self, tmp_path, capsys, key, value, message):
+        cfg = _sim_config(tmp_path, **{key: value})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate"]) == 1
+        assert capsys.readouterr().err == f"samplerank: config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_nan_weight_ranks_nothing(self, embedding_files, tmp_path, capsys):
         core, ft = embedding_files
         assert main(["--out-dir", str(tmp_path), "fit", "--core", str(core)]) == 0
@@ -578,3 +626,9 @@ class TestUsageAndConfig:
         assert main(["--config", str(dump), "--dump-config", str(tmp_path / "second.cfg")]) == 0
         assert dump.read_text() == (tmp_path / "second.cfg").read_text()
         assert "seed = 99" in dump.read_text()
+
+    def test_dump_config_into_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        dump = tmp_path / "absent" / "effective.cfg"
+        assert main(["--out-dir", str(tmp_path / "out"), "--dump-config", str(dump), "simulate"]) == 2
+        assert capsys.readouterr().err == f"samplerank: error: [Errno 2] No such file or directory: '{dump}'\n"
+        assert not (tmp_path / "out").exists()

@@ -175,7 +175,7 @@ class TestReporting:
 
     @staticmethod
     def _summary(result, tmp_path):
-        report(result, tmp_path / "summary.txt", tmp_path / "agg.csv")
+        report(result, tmp_path)
         return (tmp_path / "summary.txt").read_text()
 
     def test_summary_names_largest_winning_budget(self, tmp_path):
@@ -197,9 +197,9 @@ class TestReporting:
             self._summary(SweepResult(rows=()), tmp_path)
 
     def test_report_writes_summary_and_aggregates(self, tmp_path):
-        report(self._result(), tmp_path / "summary.txt", tmp_path / "agg.csv")
+        report(self._result(), tmp_path)
         assert (tmp_path / "summary.txt").read_text().startswith(" ")
-        header = (tmp_path / "agg.csv").read_text().splitlines()[0]
+        header = (tmp_path / "aggregates.csv").read_text().splitlines()[0]
         assert header.startswith("budget,mean_priority_bps,std_priority_bps")
         assert header.endswith("diff_bps_minus_random")
 
