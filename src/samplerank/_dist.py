@@ -61,14 +61,6 @@ _TILE = 2**16  # screen entries per tile: query rows = _TILE // len(b)
 _BLOCKS_PER_K = 8  # strided column blocks per neighbour sought, past the first
 
 
-def _checked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"points of dimension {a.shape[1]} against {b.shape[1]}")
-    return a, b
-
-
 def _in_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum((x[..., j] - y[..., j]) ** 2), x and y broadcast, added in coordinate order."""
     s = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
@@ -78,23 +70,19 @@ def _in_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return s
 
 
-def sq_dist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) matrix of squared distances between row vectors."""
-    a, b = _checked(a, b)
-    return _in_order(a[:, None], b[None])
-
-
 def nearest(
     a: np.ndarray, b: np.ndarray, k: int = 1, exclude_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices into *b* of the k nearest rows to each row of *a*, and their squared distances.
 
     Both are (len(a), k), nearest first, ties toward the lower index: exactly
-    ``argsort(sq_dist_matrix(a, b), kind="stable")[:, :k]``, without holding
-    that matrix. ``exclude_self`` treats *a* and *b* as one point set and
-    skips each row's own index. Inputs must be finite.
+    ``argsort(_in_order(a[:, None], b[None]), kind="stable")[:, :k]``, the
+    kernel's full matrix sorted, without holding it. ``exclude_self`` treats
+    *a* and *b* as one point set, skipping each row's own index. Inputs must be finite.
     """
-    a, b = _checked(a, b)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"points of dimension {a.shape[1]} against {b.shape[1]}")
     m, d = b.shape
     idx = np.empty((len(a), k), dtype=np.intp)
     d2 = np.empty((len(a), k))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._dist import nearest, sq_dist_matrix
+from ._dist import _in_order, nearest
 from .data import read_binary_file, read_only, write_binary_file
 
 ERROR_IOU_THRESHOLD = 0.5
@@ -50,14 +50,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     n = points.shape[0]
     centres = np.empty((k, points.shape[1]))
     centres[0] = points[rng.integers(n)]
-    d2 = sq_dist_matrix(points, centres[:1])[:, 0]
+    d2 = _in_order(points, centres[0])
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centres[j] = points[rng.integers(n)]
-            continue
-        centres[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, sq_dist_matrix(points, centres[j : j + 1])[:, 0])
+        total = d2.sum()  # 0 once every point sits on a centre: then draw uniformly
+        centres[j] = points[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
+        np.minimum(d2, _in_order(points, centres[j]), out=d2)
     return centres
 
 
@@ -188,10 +185,12 @@ def _fit(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.n
 
 def _holding(model: ClusterModel, points: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     """Per point, the nearest of *clusters* whose 95th-percentile radius holds it, else -1."""
-    d = np.sqrt(sq_dist_matrix(points, model.centroids[clusters]))
-    inside = d <= model.p95_radius[clusters]
-    closest = np.where(inside, d, np.inf).argmin(axis=1)
-    return np.where(inside.any(axis=1), clusters[closest], -1)
+    held, best = np.full(len(points), -1), np.full(len(points), np.inf)
+    for c in clusters:
+        d = np.sqrt(_in_order(points, model.centroids[c]))
+        take = (d <= model.p95_radius[c]) & (d < best)  # strict: of tied clusters the first stays
+        held[take], best[take] = c, d[take]
+    return held
 
 
 def fit_core_clusters(

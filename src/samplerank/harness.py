@@ -117,7 +117,11 @@ def run_budget_sweep(
     n_seeds: int = 1,
     params: Config = Config(),
 ) -> SweepResult:
-    """Generate, score, select and evaluate for every (seed, strategy, budget)."""
+    """Generate, score, select and evaluate for every (seed, strategy, budget).
+
+    The spec, budgets, strategies and seed count come from the arguments alone: each sweep seed
+    replaces ``params.seed``, and no ``sim_*`` field of *params* is read.
+    """
     budgets = sorted({int(b) for b in budgets})  # a repeated budget is one budget
     if not budgets:
         raise ValueError("need at least one budget")

@@ -1,11 +1,15 @@
 """K-means engine, two-phase classification, error clusters, orphans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from samplerank import _dist
 from samplerank.clustering import (
     ClusterModel,
     _cluster_sums,
+    _holding,
     classify_batch,
     default_cluster_count,
     detect_orphans,
@@ -283,6 +287,66 @@ class TestErrorMembership:
                 expected[row] = model.member_count[err[nearest]] / model.member_count[err].max()
         assert np.count_nonzero(expected) > 10
         assert error_membership(model, points).tolist() == expected.tolist()
+
+
+def _matrix_holding(model, points, clusters):
+    """The points x clusters matrix expression ``_holding`` replaced, kept as its reference."""
+    d = np.sqrt(_dist._in_order(points[:, None], model.centroids[clusters][None]))
+    inside = d <= model.p95_radius[clusters]
+    closest = np.where(inside, d, np.inf).argmin(axis=1)
+    return np.where(inside.any(axis=1), clusters[closest], -1)
+
+
+class TestHolding:
+    """Cluster membership walks the clusters one at a time, against the matrix expression."""
+
+    @pytest.mark.parametrize("kind", ["core", "error"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_matrix_expression_on_integer_grids(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        dims, k = int(rng.integers(2, 5)), int(rng.integers(8, 24))
+        model = ClusterModel(
+            centroids=rng.integers(0, 3, size=(k, dims)).astype(float),  # repeats: clusters tie exactly
+            iou_weight=1.0,
+            feature_mean=np.zeros(dims - 1),
+            feature_scale=np.ones(dims - 1),
+            member_count=rng.integers(1, 50, size=k),
+            p95_radius=np.sqrt(rng.integers(0, 9, size=k)),  # integer squared distances land on them
+            is_error=rng.permutation(np.arange(k) < k // 2),
+        )
+        points = rng.integers(0, 4, size=(200, dims)).astype(float)
+        clusters = model.core_indices if kind == "core" else model.error_indices
+
+        d = np.sqrt(_dist._in_order(points[:, None], model.centroids[clusters][None]))
+        inside = d <= model.p95_radius[clusters]
+        assert (d == model.p95_radius[clusters]).any()  # points sit exactly on a radius
+        held_d = np.where(inside, d, np.inf)
+        ties = inside & (held_d == held_d.min(axis=1, keepdims=True))
+        assert (ties.sum(axis=1) > 1).any()  # points equally near two clusters that hold them
+        assert _holding(model, points, clusters).tolist() == _matrix_holding(model, points, clusters).tolist()
+
+    def test_memory_stays_linear_in_the_points(self):
+        """2,000 points x 1,000 clusters: the matrix expression peaked at 46 MiB."""
+        rng = np.random.default_rng(30)
+        k = 1000
+        model = ClusterModel(
+            centroids=rng.normal(size=(k, 9)),
+            iou_weight=1.0,
+            feature_mean=np.zeros(8),
+            feature_scale=np.ones(8),
+            member_count=np.ones(k, dtype=int),
+            p95_radius=rng.uniform(0.0, 3.0, k),
+            is_error=np.zeros(k, dtype=bool),
+        )
+        points, clusters = rng.normal(size=(2000, 9)), model.core_indices
+        tracemalloc.start()
+        try:
+            held = _holding(model, points, clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert held.tolist() == _matrix_holding(model, points, clusters).tolist()
 
 
 class TestOrphans:

@@ -148,6 +148,11 @@ class TestOverridesAndDump:
         assert [c.size for c in spec.novel_clusters] == [5, 9]
         assert spec.ft_n == 120 and spec.core_n == 100 and spec.seed == 42
 
+    def test_defaults_run_the_reference_benchmark(self):
+        """The sweep defaults live in ``Config``'s ``sim_*`` fields and in ``default_spec``: they agree."""
+        assert Config().synthetic_spec() == default_spec(seed=Config().seed)
+        assert Config().sim_budgets == tuple(range(250, 2151, 100))
+
 
 class TestKeySurface:
     def test_keys_are_pinned_in_order(self):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from samplerank import _dist
-from samplerank._dist import nearest, sq_dist_matrix
+from samplerank._dist import nearest
 
 
 def _reference(a, b, k, exclude_self=False):
-    full = sq_dist_matrix(a, b)
+    full = _in_order(a, b)
     if exclude_self:
         np.fill_diagonal(full, np.inf)
     idx = np.argsort(full, axis=1, kind="stable")[:, :k]
@@ -184,14 +184,14 @@ def test_kernel_bits_equal_broadcast_sum(d):
     f32a, f32b = (x.astype(np.float32).astype(np.float64) for x in (a, b))
     b[4] = a[2]  # a duplicated row must give exactly 0.0
     for x, y in ((a, b), (f32a, f32b)):
-        assert sq_dist_matrix(x, y).tobytes() == _in_order(x, y).tobytes()
-    assert sq_dist_matrix(a, b)[2, 4] == 0.0
+        assert _dist._in_order(x[:, None], y[None]).tobytes() == _in_order(x, y).tobytes()
+    assert _dist._in_order(a[:, None], b[None])[2, 4] == 0.0
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((0, 5), (4, 5)), ((3, 5), (0, 5)), ((3, 0), (4, 0))])
 def test_kernel_empty_inputs(shape_a, shape_b):
     a, b = np.ones(shape_a), np.zeros(shape_b)
-    got = sq_dist_matrix(a, b)
+    got = _dist._in_order(a[:, None], b[None])
     assert got.shape == (shape_a[0], shape_b[0])
     assert got.tobytes() == _broadcast(a, b).tobytes()
 
@@ -287,7 +287,7 @@ def test_ufunc_buffer_size_is_restored():
     a, b = rng.normal(size=(30, 4)), rng.normal(size=(3, 4))
     old = np.setbufsize(4096)
     try:
-        sq_dist_matrix(a, b)
+        _dist._in_order(a[:, None], b[None])
         nearest(a, b)
         nearest(a, a, 3, exclude_self=True)
         assert np.getbufsize() == 4096

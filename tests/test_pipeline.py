@@ -200,3 +200,23 @@ def test_fit_holds_one_float64_copy_of_the_core_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * (n_core + n_pool) * d * 8
+
+
+@pytest.mark.parametrize("size", ["default", "core300-pool320"])
+@pytest.mark.parametrize("seed", [100, 101, 102])
+def test_power_of_two_scale_changes_no_score_bit(seed, size):
+    """Scaling every vector of both corpora by 2 or 2^-10 leaves every Scores column bit-equal."""
+    spec = default_spec(seed=seed)
+    if size != "default":
+        spec = replace(spec, core_n=300, ft_n=320,
+                       novel_clusters=(NovelClusterSpec(size=20), NovelClusterSpec(size=40)))
+    core, ft, _ = generate_synthetic(spec)
+
+    def scaled(corpus, factor):
+        return Corpus(columns=(corpus.ids, corpus.vectors() * np.float32(factor), corpus._ious, corpus.splits))
+
+    base = compute_scores(core, ft, Config(seed=seed))
+    for factor in (2.0, 2.0**-10):
+        got = compute_scores(scaled(core, factor), scaled(ft, factor), Config(seed=seed))
+        for name in COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(base, name).tobytes(), (factor, name)
