@@ -95,12 +95,14 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
 
 
 def cmd_fit(config: Config, args) -> int:
+    # the pool is read first, so the core's bytes are not alive through its parse
+    read_pool = config.finetune_embeddings and os.path.isfile(config.core_embeddings)  # else the core's load refuses
+    pool = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE) if read_pool else None
     core = _load_corpus(config.core_embeddings, SPLIT_CORE)
-    finetune = None
-    if config.finetune_embeddings:
-        finetune = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, core.dimension)
+    if pool is not None and pool.dimension != core.dimension:
+        raise DataFormatError(f"{config.finetune_embeddings}: dimension {pool.dimension}, expected {core.dimension}")
     try:
-        models = pipeline.fit_models(core, finetune, config)
+        models = pipeline.fit_models(core, pool, config)
     except ValueError as exc:  # name the files the models were fitted on
         fitted = " and ".join(filter(None, (config.core_embeddings, config.finetune_embeddings)))
         raise ValueError(f"{exc} (fitting {fitted})") from None

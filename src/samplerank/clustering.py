@@ -277,9 +277,9 @@ def error_membership(model: ClusterModel, ft_points: np.ndarray) -> np.ndarray:
     """
     weights = np.zeros(ft_points.shape[0])
     err = model.error_indices
-    if err.size == 0:
-        return weights
     candidates = np.flatnonzero(ft_points[:, -1] / model.iou_weight < ERROR_IOU_THRESHOLD)
+    if err.size == 0 or candidates.size == 0:  # nothing can be held: skip the walk over the error clusters
+        return weights
     held = _holding(model, ft_points[candidates], err)
     hit = held >= 0
     weights[candidates[hit]] = model.member_count[held[hit]] / model.member_count[err].max()

@@ -5,12 +5,12 @@ data. For N >= D vectors it is the eigendecomposition of the (D, D) scatter
 matrix, ~7x faster than an SVD of the (N, D) data at 12,200 x 512; that
 squares the condition number, but the top r components still match the
 SVD's subspace within eps * l_1 / (l_r - l_{r+1}) to first order, for
-eigenvalues l_1 >= l_2 >= ... The scatter matrix is summed over row blocks,
-each centred in float64 in one reused buffer, and projection runs block by
-block too: stored float32 vectors are never copied whole to float64, and they
-give the same model as their float64 cast. For N < D it is the economy SVD
-of one centred copy. Component signs follow a fixed convention so refitting
-identical bytes reproduces an identical model.
+eigenvalues l_1 >= l_2 >= ... The rows may come in parts, never stacked: the
+mean adds them in order in float64, and the scatter matrix sums row blocks,
+each centred in float64 in one reused buffer and filled from both parts at a
+seam, so parts give their concatenation's model bit for bit. Projection runs
+block by block too. For N < D it is the economy SVD of one centred block.
+Component signs are fixed so identical bytes refit to an identical model.
 """
 
 from __future__ import annotations
@@ -73,31 +73,36 @@ class PcaModel:
 
 
 def fit_pca(
-    x: np.ndarray, r: int | None = None, variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
+    *parts: np.ndarray, r: int | None = None, variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
 ) -> PcaModel:
-    """Fit a reduction on the rows of an (N, D) array.
+    """Fit a reduction on the rows of one or more (N_i, D) arrays, taken as stacked in order.
 
     With ``r=None`` the rank is the smallest one whose cumulative explained
     variance reaches *variance_threshold*, capped at ``COMPONENT_CAP``.
     Raises on r outside [1, min(D, N)] and on zero total variance.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("expected an (N, D) matrix of vectors")
-    n, d = x.shape
+    parts = [np.asarray(x) for x in parts]
+    if not parts or any(x.ndim != 2 or x.shape[1] != parts[0].shape[1] for x in parts):
+        raise ValueError("expected (N, D) matrices of vectors, all of one D")
+    n, d = sum(map(len, parts)), parts[0].shape[1]
     if n < 2:
         raise ValueError("need at least 2 vectors to fit")
     max_r = min(d, n)
     if r is not None and not 1 <= r <= max_r:
         raise ValueError(f"r={r} out of range [1, {max_r}]")
 
-    mean = x.mean(axis=0, dtype=np.float64)
+    mean = np.full(d, -0.0)  # the running sum; -0.0 + x is x, so rows add as in x.mean(axis=0, dtype=float64)
+    for _, rows in _centred_blocks(parts, 0.0, skip=1):
+        rows[0] = mean  # the sum leads the block's rows, so one reduce adds them on in order
+        np.add.reduce(rows, axis=0, out=mean)
+    del rows  # the mean pass's buffer goes before the scatter pass takes its own
+    mean /= n
     if n >= d:  # eigenvectors of the (D, D) scatter matrix, reordered largest first
-        scatter, vectors = np.linalg.eigh(sum(c.T @ c for _, c in _centred_blocks(x, mean)))
+        scatter, vectors = np.linalg.eigh(sum(c.T @ c for _, c in _centred_blocks(parts, mean)))
         eigenvalues = np.maximum(scatter[::-1], 0.0) / (n - 1)
         vh = vectors[:, ::-1].T
-    else:  # economy SVD: vh carries N rows, the most r can be
-        _, singulars, vh = np.linalg.svd(np.subtract(x, mean), full_matrices=False)
+    else:  # economy SVD of one block holding every row: vh carries N rows, the most r can be
+        _, singulars, vh = np.linalg.svd(next(_centred_blocks(parts, mean, rows=n))[1], full_matrices=False)
         eigenvalues = singulars**2 / (n - 1)
     total_variance = float(eigenvalues.sum())
     if total_variance <= 0.0:
@@ -122,12 +127,16 @@ def fit_pca(
     )
 
 
-def _centred_blocks(x: np.ndarray, mean: np.ndarray):
-    """``(start, x[start:start + rows] - mean)`` in float64, block after block; one buffer serves them all."""
-    rows = max(1, _BLOCK_BUDGET // x.shape[1])
-    buffer = np.empty((min(rows, len(x)), x.shape[1]))
-    for start in range(0, len(x), rows):
-        yield start, np.subtract(x[start : start + rows], mean, out=buffer[: len(x) - start])
+def _centred_blocks(parts: list[np.ndarray], mean, rows: int | None = None, skip: int = 0):
+    """``(start, block)`` in one float64 buffer; rows *skip* on: the stacked *parts* from row *start*, minus *mean*."""
+    n, d = sum(map(len, parts)), parts[0].shape[1]
+    rows = rows or max(1, _BLOCK_BUDGET // d)
+    buffer = np.empty((skip + min(rows, n), d))
+    for start in range(0, n, rows):
+        for x, lo in zip(parts, np.cumsum([0, *map(len, parts)])):  # a block that spans a seam takes rows from both
+            a, b = max(start, lo), max(start, lo, min(start + rows, lo + len(x)))  # x's rows in it: a to b, or none
+            np.subtract(x[a - lo : b - lo], mean, out=buffer[skip + a - start : skip + b - start])
+        yield start, buffer[: skip + min(rows, n - start)]
 
 
 def transform_batch(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -138,7 +147,7 @@ def transform_batch(model: PcaModel, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix contains non-finite values")
     out = np.empty((len(x), model.n_components))
-    for start, c in _centred_blocks(x, model.mean):
+    for start, c in _centred_blocks([x], model.mean):
         np.matmul(c, model.components.T, out=out[start : start + len(c)])
     return out
 

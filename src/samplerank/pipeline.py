@@ -56,12 +56,11 @@ def fit_models(core: Corpus, finetune: Corpus | None, params: Config = Config())
     default rule. The models come back as their files store them.
     """
     parts = (core,) if finetune is None else (core, finetune)
-    fit_matrix = np.concatenate([part.vectors() for part in parts])  # float32, one allocation
-    core_vectors = fit_matrix[: len(core)]  # a view: no second copy of the core rows
-    r = _count(params, "pca_components", min(fit_matrix.shape), "smaller of the fit's vector count and dimension")
-    reduction = pca.fit_pca(fit_matrix, r=r, variance_threshold=params.pca_variance_threshold)
+    n = sum(map(len, parts))
+    r = _count(params, "pca_components", min(n, core.dimension), "smaller of the fit's vector count and dimension")
+    reduction = pca.fit_pca(*(part.vectors() for part in parts), r=r, variance_threshold=params.pca_variance_threshold)
 
-    core_reduced = pca.transform_batch(reduction, core_vectors)
+    core_reduced = pca.transform_batch(reduction, core.vectors())
     core_ious = core.measured_ious()
     predictor = metrics.IouPredictor(core_reduced, core_ious, k=min(params.knn_k, len(core)))
 

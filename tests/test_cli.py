@@ -266,6 +266,26 @@ class TestInputErrors:
         assert "core.emb" in err and "record 0" in err
         assert not (tmp_path / "queue.csv").exists()
 
+    @pytest.mark.parametrize("pool", ["absent.emb", "bad.emb"])
+    def test_fit_without_core_path_exits_1_whatever_the_pool(self, tmp_path, capsys, pool):
+        (tmp_path / "bad.emb").write_bytes(b"EMB1" + struct.pack("<IIB", 0, 3, 2))
+        assert main(["--out-dir", str(tmp_path / "out"), "fit", "--finetune", str(tmp_path / pool)]) == 1
+        assert capsys.readouterr().err == "samplerank: config error: no core embeddings path configured\n"
+
+    @pytest.mark.parametrize("pool", ["absent.emb", "bad.emb"])
+    def test_fit_with_absent_core_exits_2_naming_it_whatever_the_pool(self, tmp_path, capsys, pool):
+        (tmp_path / "bad.emb").write_bytes(b"EMB1" + struct.pack("<IIB", 0, 3, 2))
+        core, pool = tmp_path / "core.emb", tmp_path / pool
+        assert main(["--out-dir", str(tmp_path / "out"), "fit", "--core", str(core), "--finetune", str(pool)]) == 2
+        assert capsys.readouterr().err == f"samplerank: error: core embeddings file not found: {core}\n"
+
+    def test_fit_names_the_pool_when_both_files_hold_faults(self, embedding_files, tmp_path, capsys):
+        _, ft = embedding_files  # a pool file given as the core: its first record has the wrong split
+        pool = tmp_path / "bad.emb"
+        pool.write_bytes(b"EMB1" + struct.pack("<IIB", 0, 3, 2))
+        assert main(["--out-dir", str(tmp_path / "out"), "fit", "--core", str(ft), "--finetune", str(pool)]) == 2
+        assert capsys.readouterr().err == f"samplerank: error: {pool}: unknown split flag 2\n"  # the pool is read first
+
     def test_finetune_split_core_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
         _, ft = embedding_files
         first = load_embeddings(ft).records[0].id

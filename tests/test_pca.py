@@ -261,3 +261,49 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < x.size * np.dtype(np.float64).itemsize  # 39 MiB
+
+
+class TestParts:
+    """Rows given in parts fit the model of their concatenation, bit for bit, without stacking them."""
+
+    D = 64
+    ROWS = pca._BLOCK_BUDGET // D  # rows of one centred block
+
+    @staticmethod
+    def _data(n, d, seed):
+        rng = np.random.default_rng(seed)
+        # entries whose exponents spread widely, so float64 sums round and their order shows in the bits
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-4, 4, size=(n, d)) + rng.normal(size=d)
+        return x.astype(np.float32)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (3000, 2 * ROWS + 77),  # the seam inside a block
+            (ROWS, ROWS + 77),  # the seam on a block boundary
+            (2 * ROWS, 5),  # a part shorter than one block, at the end
+            (7, ROWS - 3, 1, ROWS + 9),  # short parts at the start and between two blocks
+            (10, 20),  # N < D: the SVD of one centred block
+        ],
+    )
+    def test_parts_fit_equals_concatenated_fit(self, sizes):
+        x = self._data(sum(sizes), self.D, seed=sum(sizes))
+        parts = np.split(x, np.cumsum(sizes)[:-1])
+        for r in (None, 3):
+            got, want = fit_pca(*parts, r=r), fit_pca(np.concatenate(parts), r=r)
+            for name in ("mean", "components", "eigenvalues"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (sizes, r, name)
+            assert got.total_variance == want.total_variance
+
+    @pytest.mark.parametrize("n, d", [(12, 3), (420, 8), (4200, 8), (3 * 2048 + 5, 256), (12_200, 512)])
+    def test_mean_adds_rows_in_order_as_numpy_mean_does(self, n, d):
+        x = self._data(n, d, seed=n + d)
+        want = x.mean(axis=0, dtype=np.float64).tobytes()
+        assert fit_pca(x).mean.tobytes() == want
+        assert fit_pca(x[: n // 3], x[n // 3 :]).mean.tobytes() == want
+
+    def test_parts_of_other_dimensions_are_refused(self):
+        with pytest.raises(ValueError, match="all of one D"):
+            fit_pca(np.ones((4, 3)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match="all of one D"):
+            fit_pca()

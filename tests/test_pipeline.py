@@ -1,5 +1,6 @@
 """End-to-end feature computation over in-memory corpora."""
 
+import hashlib
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -181,11 +182,7 @@ class TestErrorFeature:
 
 
 def test_fit_holds_one_float64_copy_of_the_core_rows():
-    """A wide pooled fit: the core rows live once, inside the pooled matrix PCA centres.
-
-    A second float64 copy of the core rows next to the pooled matrix and its
-    centred copy puts the peak near 3x the pooled matrix's bytes.
-    """
+    """A wide pooled fit peaks below 2.5 float64 copies of the core and pool rows."""
     rng = np.random.default_rng(0)
     n_core, n_pool, d = 3000, 600, 256
     lift = rng.normal(size=(8, d))
@@ -200,6 +197,49 @@ def test_fit_holds_one_float64_copy_of_the_core_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * (n_core + n_pool) * d * 8
+
+
+def test_pool_without_error_candidates_skips_the_error_cluster_walk(monkeypatch):
+    """On default_spec(seed=1) no pool sample is predicted below the error IoU threshold.
+
+    ``error_membership`` returns its zero weights without walking the error
+    clusters on empty arrays, and every Scores bit is what it was with the walk.
+    """
+    core, ft, _ = generate_synthetic(default_spec(seed=1))
+    holding, sizes = clustering._holding, []
+
+    def counted(model, points, clusters):
+        sizes.append(len(points))
+        return holding(model, points, clusters)
+
+    monkeypatch.setattr(clustering, "_holding", counted)
+    scores = compute_scores(core, ft, Config())
+    assert sizes and 0 not in sizes  # the orphan test still runs, on the pool's clusters
+    assert not scores.err.any()
+    columns = b"".join(np.ascontiguousarray(getattr(scores, name)).tobytes() for name in COLUMNS)
+    assert hashlib.sha256(columns).hexdigest() == "feb9ffe9ec76794c1ab2cbeef5f6f0b0be70e7e06c687089c7ab18ccbb3219a4"
+
+
+def test_wide_fit_holds_no_joint_copy_of_core_and_pool():
+    """The reduction is fitted on the core and the pool as they are, never on their concatenation.
+
+    At core 4,000 x 512 and pool 1,000 x 512 the peak was 17.8 MiB with a
+    float32 concatenation of both, and is 8.0 MiB without it: one 4 MiB
+    centred block, the (D, D) scatter sum and one block's product.
+    """
+    rng = np.random.default_rng(0)
+    n_core, n_pool, d = 4000, 1000, 512
+    x = rng.normal(size=(n_core + n_pool, 8)) @ rng.normal(size=(8, d)) + 0.01 * rng.normal(size=(n_core + n_pool, d))
+    x = x.astype(np.float32)
+    core = Corpus(columns=(np.arange(n_core), x[:n_core], rng.uniform(size=n_core), np.zeros(n_core)))
+    pool = Corpus(columns=(np.arange(n_core, n_core + n_pool), x[n_core:], np.full(n_pool, np.nan), np.ones(n_pool)))
+    tracemalloc.start()
+    try:
+        fit_models(core, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes  # 9.8 MiB, the bytes of one float32 concatenation
 
 
 @pytest.mark.parametrize("size", ["default", "core300-pool320"])
