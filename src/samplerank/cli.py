@@ -95,7 +95,7 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
 
 
 def cmd_fit(config: Config, args) -> int:
-    # the pool is read first, so the core's bytes are not alive through its parse
+    # the pool is read first, so a fault in both files names the pool's
     read_pool = config.finetune_embeddings and os.path.isfile(config.core_embeddings)  # else the core's load refuses
     pool = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE) if read_pool else None
     core = _load_corpus(config.core_embeddings, SPLIT_CORE)

@@ -14,18 +14,22 @@ Embeddings travel in two interchangeable encodings:
   character. numpy parses the vector columns; errors name the first bad record.
 
 A ``Corpus`` holds a file's records as columns; ``EmbeddingRecord`` is a plain value that only
-``Corpus(records)`` checks. Masks are never read from files: ``BinaryMask`` lives in memory, for
-``metrics.iou``.
+``Corpus(records)`` checks. ``load_embeddings`` maps its file: a live binary corpus views the map and holds one
+descriptor, so another program rewriting that file in place changes or invalidates it (``save_embeddings``
+replaces a file instead). Masks are never read from files: ``BinaryMask`` lives in memory, for ``metrics.iou``.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import mmap
 import numbers
+import os
 import re
+import stat
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,7 @@ _EMB_MAGIC = b"EMB1"
 # count, dimension, split flag; then raw records, so the size is checked before _emb_records(dim) can fail
 _EMB_LAYOUT = _EMB_MAGIC, "<IIB", lambda count, dim, split: [("<u1", (count, 12 + 4 * dim))]
 _MAX_ID = 2**64 - 1
+_CHUNK, _EOL = 1 << 20, re.compile(rb"\r\n?|\n")  # CSV bytes split into lines at a time, cut after a line end
 
 
 class DataFormatError(ValueError):
@@ -218,22 +223,32 @@ def read_binary_file(path, kind: str, layout, blob: bytes | None = None):
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
-    """Write a corpus to *path*; ``load_embeddings`` reproduces it exactly."""
+    """Write a corpus to *path*; ``load_embeddings`` reproduces it exactly. It goes to a new file that then replaces
+    *path*, never truncated, so a live map of the old file stays whole and a failed save leaves it as it was."""
     if len(corpus) == 0:
         raise ValueError("refusing to save an empty corpus")
-    if format == "binary":
-        _save_binary(corpus, path)
-    elif format == "csv":
-        _save_csv(corpus, path)
-    else:
+    if format not in ("binary", "csv"):
         raise ValueError(f"unknown embedding format {format!r}")
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        (_save_binary if format == "binary" else _save_csv)(corpus, tmp)
+        os.replace(tmp, path)
+    except OSError as exc:  # named as the caller gave it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def load_embeddings(path) -> Corpus:
     """Load a corpus: binary when the file starts with the ``EMB1`` magic, CSV otherwise."""
+    info = os.stat(path)  # not open, which blocks on a FIFO until a writer appears; mmap refuses an empty file
+    if not (stat.S_ISREG(info.st_mode) and info.st_size):
+        raise DataFormatError(f"{path}: {'empty file' if stat.S_ISREG(info.st_mode) else 'not a regular file'}")
     with open(path, "rb") as fh:
-        blob = fh.read()
-    columns = _load_binary(path, blob) if blob[:4] == _EMB_MAGIC else _load_csv(path, blob)
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    with nullcontext() if buf[:4] == _EMB_MAGIC else buf:  # a binary corpus's columns view the map; a CSV closes it
+        columns = _load_binary(path, buf) if buf[:4] == _EMB_MAGIC else _load_csv(path, buf)
     try:
         return Corpus(columns=columns)
     except ValueError as exc:  # it names the record
@@ -253,7 +268,7 @@ def _save_binary(corpus: Corpus, path) -> None:
     write_binary_file(path, _EMB_LAYOUT, (len(corpus), corpus.dimension, corpus.splits[0]), [table.view(np.uint8)])
 
 
-def _load_binary(path, blob: bytes) -> tuple:
+def _load_binary(path, blob) -> tuple:
     with read_binary_file(path, "an embedding", _EMB_LAYOUT, blob) as ((count, dim, split), (raw,)):
         if split not in (0, 1):
             raise ValueError(f"unknown split flag {split}")
@@ -274,13 +289,11 @@ def _save_csv(corpus: Corpus, path) -> None:
             fh.write(line % (rec_id, SPLITS[split], "" if math.isnan(iou) else f"{iou:.9g}", *vector.tolist()))
 
 
-def read_utf8(path) -> str:
-    """The text of *path*; bytes that are not UTF-8 raise DataFormatError naming the line."""
-    with open(path, "rb") as fh:
-        return _decode_utf8(path, fh.read())
-
-
-def _decode_utf8(path, blob: bytes) -> str:
+def read_utf8(path, blob: bytes | None = None) -> str:
+    """The text of *path*, or of its bytes *blob*; bytes that are not UTF-8 raise DataFormatError naming the line."""
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -288,23 +301,31 @@ def _decode_utf8(path, blob: bytes) -> str:
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_csv(path, blob: bytes) -> tuple:
-    if not blob.isascii():  # ASCII is valid UTF-8; fields decode one by one below
-        _decode_utf8(path, blob)
-    if b'"' in blob:
-        line = len(blob[: blob.index(b'"') + 1].splitlines())
+def _lines(buf):
+    """``buf.splitlines()``, split from pieces of about _CHUNK bytes cut after line ends, never inside a CR LF."""
+    start = 0
+    while start < len(buf):
+        eol = _EOL.search(buf, start + _CHUNK)
+        end = eol.end() if eol else len(buf)
+        yield from buf[start:end].splitlines()
+        start = end
+
+
+def _load_csv(path, buf) -> tuple:
+    if not all(line.isascii() for line in _lines(buf)):  # ASCII is valid UTF-8; fields decode one by one below
+        read_utf8(path, buf[:])
+    if (quote := buf.find(b'"')) >= 0:
+        line = len(buf[: quote + 1].splitlines())
         raise DataFormatError(f"{path}: line {line}: quoted field; records are unquoted, one per line")
-    lines = blob.splitlines()  # records end at \n, \r\n or \r and at nothing else
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = lines[0].decode().split(",")
+    lines = _lines(buf)
+    header = next(lines).decode().split(",")  # a file that is not empty holds a line
     if header[:3] != ["id", "split", "iou"] or len(header) < 4:
         raise DataFormatError(f"{path}: malformed header {header!r}")
     dim = len(header) - 3
     if header[3:] != [f"v{i}" for i in range(dim)]:
         raise DataFormatError(f"{path}: malformed vector columns in header")
-    rows, ids, ious, splits, fault = lines[1:], [], [], [], None
-    for index, row in enumerate(rows):  # up to the first record whose fields cannot be parsed
+    ids, ious, splits, fault = [], [], [], None
+    for index, row in enumerate(lines):  # up to the first record whose fields cannot be parsed
         try:
             if row.count(b",") != 2 + dim:
                 raise ValueError(f"expected {3 + dim} fields, got {row.count(b',') + 1}")
@@ -317,18 +338,19 @@ def _load_csv(path, blob: bytes) -> tuple:
         except ValueError as exc:
             fault = index, exc
             break
-    vectors, stop = None, len(rows) if fault is None else fault[0]
+    vectors, stop = None, len(ids) if fault is None else fault[0]
     while vectors is None:  # numpy parses the vectors before the stop; a row it cannot parse becomes the stop
         try:  # every row before the stop holds 3 + dim fields, so numpy's row i is record i; it warns on no rows
             vectors = np.loadtxt(
-                rows[:stop], np.float32, comments=None, delimiter=",", usecols=range(3, 3 + dim), ndmin=2,
-                encoding="utf-8") if stop else np.empty((0, dim), np.float32)
+                _lines(buf), np.float32, comments=None, delimiter=",", skiprows=1, usecols=range(3, 3 + dim),
+                ndmin=2, encoding="utf-8", max_rows=stop) if stop else np.empty((0, dim), np.float32)
         except ValueError as exc:
             bad = re.search(r"at row (\d+), column (\d+)", str(exc))
             if bad is None:
                 raise DataFormatError(f"{path}: {exc}") from None
             stop, column = int(bad[1]), int(bad[2]) - 1
-            fault = stop, f"v{column - 3} is not a number: {rows[stop].split(b',')[column].decode()!r}"
+            row = next(row for index, row in enumerate(_lines(buf)) if index == 1 + stop)
+            fault = stop, f"v{column - 3} is not a number: {row.split(b',')[column].decode()!r}"
     if fault is not None:  # a column fault of an earlier record comes first
         ids, ious, splits = ids[:stop], ious[:stop], splits[:stop]
         raise DataFormatError(f"{path}: record %d: %s" % (_first_fault(vectors, ious, splits, ids) or fault))

@@ -8,8 +8,9 @@ SVD's subspace within eps * l_1 / (l_r - l_{r+1}) to first order, for
 eigenvalues l_1 >= l_2 >= ... The rows may come in parts, never stacked: the
 mean adds them in order in float64, and the scatter matrix sums row blocks,
 each centred in float64 in one reused buffer and filled from both parts at a
-seam, so parts give their concatenation's model bit for bit. Projection runs
-block by block too. For N < D it is the economy SVD of one centred block.
+seam, so for D >= 2 parts give their concatenation's model bit for bit (numpy
+sums a lone column pairwise: at D = 1 from ~5e5 rows, the mean's last bit may
+differ). Projection runs block by block; for N < D it is one block's SVD.
 Component signs are fixed so identical bytes refit to an identical model.
 """
 

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,30 @@ class TestFitAndRank:
         assert load_pca(tmp_path / "auto" / "pca.bin").n_components == 3 != dim
         assert f"pca.bin has rank 3, {tmp_path / 'auto' / 'clusters.bin'} has dimension {dim}" in err
         assert not (tmp_path / "auto" / "queue.csv").exists()
+
+    def test_wide_fit_and_rank_hold_no_copy_of_an_input_file(self, tmp_path, capsys):
+        """Core 4,000 x 512 binary (8.2 MB), pool 1,000 x 512 CSV (6.2 MB): the core's columns view its map
+        and the pool is parsed in pieces. Peak of fit and rank: 17.87 MiB when each file was read whole (the
+        core's bytes, or the pool's bytes and their list of lines), 10.02 MiB now (fit's PCA block and scatter
+        sum over the pool's columns); the bound lies between."""
+        rng = np.random.default_rng(0)
+        n_core, n_pool, d = 4000, 1000, 512
+        n = n_core + n_pool
+        x = (rng.normal(size=(n, 8)) @ rng.normal(size=(8, d)) + 0.01 * rng.normal(size=(n, d))).astype(np.float32)
+        core, pool = tmp_path / "core.emb", tmp_path / "pool.csv"
+        save_embeddings(Corpus(columns=(np.arange(n_core), x[:n_core], rng.uniform(size=n_core), np.zeros(n_core))),
+                        core)
+        save_embeddings(Corpus(columns=(np.arange(n_core, n_core + n_pool), x[n_core:], np.full(n_pool, np.nan),
+                                        np.ones(n_pool))), pool, "csv")
+        out = ["--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(out + ["fit", "--core", str(core), "--finetune", str(pool)]) == 0
+            assert main(out + ["rank", "--finetune", str(pool)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
 
     @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """Corpus construction, file round-trips, mask validation, and read-only record arrays."""
 
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import samplerank
+from samplerank import data as data_module
 from samplerank.cli import main
 from samplerank.clustering import ClusterModel, load_clusters, save_clusters
 from samplerank.data import (
@@ -264,6 +270,28 @@ def test_every_binary_file_reports_a_cut_header_and_an_extra_byte(tmp_path, kind
     load(path)
 
 
+# CSV files whose first bad record each case names: rows after the header "id,split,iou,v0" -> message
+_FIRST_BAD = {
+    "bad-id-then-fields": (["0,finetune,,1", "x,finetune,,1", "2,finetune,,1,5"],
+                           "record 1: invalid literal for int() with base 10: 'x'"),
+    "bad-id-then-number": (["0,finetune,,1", "x,finetune,,1", "2,finetune,,zz"],
+                           "record 1: invalid literal for int() with base 10: 'x'"),
+    "duplicate-then-number": (["7,finetune,,1", "7,finetune,,1", "2,finetune,,zz"], "record 1: duplicate id 7"),
+    "iou-then-fields": (["0,finetune,2,1", "1,finetune,,1,5"], "record 0: measured_iou must lie in [0,1], got 2.0"),
+    "core-without-iou-then-number": (["0,core,,1", "1,finetune,,zz"], "record 0: core records require measured_iou"),
+    "inf-then-number": (["0,finetune,,inf", "1,finetune,,1", "2,finetune,,zz"],
+                        "record 0: vector contains non-finite values"),
+    "only-fields": (["0,finetune,,1", "1,finetune,,1,5"], "record 1: expected 4 fields, got 5"),
+    "only-number": (["0,finetune,,1", "1,finetune,,zz"], "record 1: v0 is not a number: 'zz'"),
+}
+# CSV files whose fault is named by its line, counted over every kind of line end: file -> message start
+_LINE_COUNTS = {
+    "quote-cr": (b'id,split,iou,v0\r1,finetune,,0.5\r2,finetune,,"1"\r', "line 3: quoted field"),
+    "quote-crlf": (b'id,split,iou,v0\r\n1,finetune,,0.5\r\n2,finetune,,"1"\r\n', "line 3: quoted field"),
+    "utf8-cr": (b"id,split,iou,v0\n1,finetune,,0.5\r2,finetune,,\xff1\r", "line 3: not UTF-8"),
+}
+
+
 class TestCsvLoader:
     """CSV is one unquoted record per line; numpy parses the vector columns."""
 
@@ -313,17 +341,7 @@ class TestCsvLoader:
         with pytest.raises(DataFormatError, match="c.csv: record 3: expected 9 fields, got 8"):
             load_embeddings(path)
 
-    @pytest.mark.parametrize("rows, message", [
-        (["0,finetune,,1", "x,finetune,,1", "2,finetune,,1,5"], "record 1: invalid literal for int() with base 10: 'x'"),
-        (["0,finetune,,1", "x,finetune,,1", "2,finetune,,zz"], "record 1: invalid literal for int() with base 10: 'x'"),
-        (["7,finetune,,1", "7,finetune,,1", "2,finetune,,zz"], "record 1: duplicate id 7"),
-        (["0,finetune,2,1", "1,finetune,,1,5"], "record 0: measured_iou must lie in [0,1], got 2.0"),
-        (["0,core,,1", "1,finetune,,zz"], "record 0: core records require measured_iou"),
-        (["0,finetune,,inf", "1,finetune,,1", "2,finetune,,zz"], "record 0: vector contains non-finite values"),
-        (["0,finetune,,1", "1,finetune,,1,5"], "record 1: expected 4 fields, got 5"),
-        (["0,finetune,,1", "1,finetune,,zz"], "record 1: v0 is not a number: 'zz'"),
-    ], ids=["bad-id-then-fields", "bad-id-then-number", "duplicate-then-number", "iou-then-fields",
-            "core-without-iou-then-number", "inf-then-number", "only-fields", "only-number"])
+    @pytest.mark.parametrize("rows, message", _FIRST_BAD.values(), ids=_FIRST_BAD.keys())
     def test_first_bad_record_is_named_whatever_its_fault(self, tmp_path, rows, message):
         path = tmp_path / "c.csv"
         path.write_text("id,split,iou,v0\n" + "\n".join(rows) + "\n")
@@ -360,16 +378,212 @@ class TestCsvLoader:
         assert rec.id == 1 and rec.vector.tolist() == [0.5]
 
     @pytest.mark.parametrize("read, blob, message", [
-        (load_embeddings, b'id,split,iou,v0\r1,finetune,,0.5\r2,finetune,,"1"\r', "line 3: quoted field"),
-        (load_embeddings, b'id,split,iou,v0\r\n1,finetune,,0.5\r\n2,finetune,,"1"\r\n', "line 3: quoted field"),
-        (load_embeddings, b"id,split,iou,v0\n1,finetune,,0.5\r2,finetune,,\xff1\r", "line 3: not UTF-8"),
+        *((load_embeddings, *case) for case in _LINE_COUNTS.values()),
         (read_utf8, b"strategy,budget,seed,quality\rrandom,10,1,0.5\rrandom,20,1,\xff\r", "line 3: not UTF-8"),
-    ], ids=["quote-cr", "quote-crlf", "utf8-cr", "sweep-utf8-cr"])
+    ], ids=[*_LINE_COUNTS, "sweep-utf8-cr"])
     def test_error_line_counts_every_line_end(self, tmp_path, read, blob, message):
         path = tmp_path / "c.csv"
         path.write_bytes(blob)
         with pytest.raises(DataFormatError, match=f"c.csv: {message}"):
             read(path)
+
+
+def _csv_bytes(tmp_path, corpus, edit=None) -> bytes:
+    """*corpus* as the CSV writer writes it, its lines (without their ends) passed through *edit*, ends LF."""
+    save_embeddings(corpus, tmp_path / "written.csv", "csv")
+    lines = (tmp_path / "written.csv").read_text().splitlines()
+    if edit is not None:
+        edit(lines)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _set(index, value):
+    def edit(lines):
+        lines[index] = value(lines[index])
+    return edit
+
+
+def _short_rows(n=20):
+    """A header and *n* one-column finetune records of ids 0 to n - 1, shorter than a few dozen bytes each."""
+    return [b"id,split,iou,v0"] + [b"%d,finetune,,%d" % (i, i) for i in range(n)]
+
+
+# every CSV fault case of the suite: file writer (of tmp_path) -> the file's bytes
+_CSV_FAULTS = {
+    **{f"first-bad-{name}": (lambda tmp_path, rows=rows: ("id,split,iou,v0\n" + "\n".join(rows) + "\n").encode())
+       for name, (rows, _) in _FIRST_BAD.items()},
+    **{f"line-count-{name}": (lambda tmp_path, blob=blob: blob) for name, (blob, _) in _LINE_COUNTS.items()},
+    "nan-record": lambda tmp_path: _csv_bytes(
+        tmp_path, _random_corpus(np.random.default_rng(4), n=4, split="finetune"),
+        _set(3, lambda line: line.rsplit(",", 1)[0] + ",nan")),
+    "bad-float": lambda tmp_path: _csv_bytes(
+        tmp_path, _random_corpus(np.random.default_rng(9), n=5, dim=6, split="finetune"),
+        _set(3, lambda line: ",".join(f if i != 7 else "1.5x" for i, f in enumerate(line.split(","))))),
+    "short-row": lambda tmp_path: _csv_bytes(
+        tmp_path, _random_corpus(np.random.default_rng(9), n=5, dim=6, split="finetune"),
+        _set(4, lambda line: line.rsplit(",", 1)[0])),
+    "quoted-split": lambda tmp_path: _csv_bytes(
+        tmp_path, _random_corpus(np.random.default_rng(9), n=5, dim=6, split="core"),
+        _set(2, lambda line: line.replace(",core,", ',"core",', 1))),
+    "vertical-tab": lambda tmp_path: "id,split,iou,v0,v1\n1,core,0.5,0,1\v2,core,0.5,1,0\n".encode(),
+    "line-separator": lambda tmp_path: "id,split,iou,v0,v1\n1,core,0.5,0,1\u20282,core,0.5,1,0\n".encode(),
+    "malformed-header": lambda tmp_path: b"id,iou,v0\n1,0.5,1.0\n",
+    "malformed-vector-columns": lambda tmp_path: b"id,split,iou,v1\n0,core,0.5,1.0\n",
+    "missing-core-iou": lambda tmp_path: b"id,split,iou,v0\n0,core,,1.0\n",
+    "nan-iou": lambda tmp_path: b"id,split,iou,v0\n0,core,0.5,1.0\n1,core,nan,2.0\n",
+    "empty": lambda tmp_path: b"",
+}
+
+
+class TestCsvPieces:
+    """The CSV reader splits its file into lines a piece of about ``_CHUNK`` bytes at a time; a piece ends
+    after a line end. Pieces of a few dozen bytes give every verdict and every corpus of one piece."""
+
+    @pytest.mark.parametrize("name", sorted(_CSV_FAULTS))
+    def test_every_csv_fault_reads_the_same_in_small_pieces(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "c.csv"
+        path.write_bytes(_CSV_FAULTS[name](tmp_path))
+        with pytest.raises(DataFormatError) as whole:
+            load_embeddings(path)
+        for size in (1, 2, 3, 5, 8, 13, 24, 40):
+            monkeypatch.setattr(data_module, "_CHUNK", size)
+            with pytest.raises(DataFormatError) as pieces:
+                load_embeddings(path)
+            assert str(pieces.value) == str(whole.value), size
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr-only"])
+    def test_pieces_give_the_lines_and_the_corpus_of_the_whole_file(self, tmp_path, monkeypatch, end):
+        corpus = _random_corpus(np.random.default_rng(12), n=6, dim=3)
+        blob = _csv_bytes(tmp_path, corpus).replace(b"\n", end)
+        path = tmp_path / "c.csv"
+        path.write_bytes(blob)
+        sizes = range(1, len(blob) + 2)
+        if end == b"\r\n":  # some first piece is looked for from the LF of a CR LF
+            assert any(blob[size - 1 : size + 1] == b"\r\n" for size in sizes)
+        for size in sizes:
+            monkeypatch.setattr(data_module, "_CHUNK", size)
+            assert list(data_module._lines(blob)) == blob.splitlines(), size
+            assert load_embeddings(path) == corpus, size
+
+    def test_a_duplicate_id_in_another_piece_is_named(self, tmp_path, monkeypatch):
+        lines = _short_rows()
+        lines[1 + 15] = b"2,finetune,,15"  # record 15 repeats record 2's id, 13 lines and over 150 bytes later
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        for size in (data_module._CHUNK, 24):  # a piece holds 24 bytes and the rest of a line: never both records
+            monkeypatch.setattr(data_module, "_CHUNK", size)
+            with pytest.raises(DataFormatError) as err:
+                load_embeddings(path)
+            assert str(err.value) == f"{path}: record 15: duplicate id 2"
+
+    @pytest.mark.parametrize("field, message", [
+        (b"zz", "record 17: v0 is not a number: 'zz'"),
+        (b'"17"', "line 19: quoted field; records are unquoted, one per line"),
+        (b"\xff", "line 19: not UTF-8 text (invalid start byte at byte {at})"),
+    ], ids=["number", "quote", "utf8"])
+    def test_a_fault_in_a_later_piece_is_named_from_the_top_of_the_file(self, tmp_path, monkeypatch, field, message):
+        lines = _short_rows()
+        lines[1 + 17] = b"17,finetune,," + field
+        blob = b"\n".join(lines) + b"\n"
+        path = tmp_path / "c.csv"
+        path.write_bytes(blob)
+        expected = f"{path}: " + message.format(at=blob.find(field))
+        for size in (data_module._CHUNK, 24):  # record 17 starts past byte 200
+            monkeypatch.setattr(data_module, "_CHUNK", size)
+            with pytest.raises(DataFormatError) as err:
+                load_embeddings(path)
+            assert str(err.value) == expected
+
+    def test_a_wide_csv_in_many_pieces_loads_as_in_one(self, tmp_path, monkeypatch):
+        """40 records of 512 columns, 6.5 kB a line, some core with an IoU and some finetune without."""
+        rng = np.random.default_rng(13)
+        records = [EmbeddingRecord(i, split, rng.normal(size=512).astype(np.float32),
+                                   float(rng.uniform()) if split == "core" else None)
+                   for i, split in enumerate(["core", "finetune", "finetune", "core"] * 10)]
+        path = tmp_path / "c.csv"
+        save_embeddings(Corpus(tuple(records)), path, "csv")
+        whole = load_embeddings(path)
+        for size in (24, 4096, 20000):  # one line a piece, one or two, three or four
+            monkeypatch.setattr(data_module, "_CHUNK", size)
+            assert path.stat().st_size > 10 * size
+            pieces = load_embeddings(path)
+            assert pieces == whole and pieces.vectors().tobytes() == whole.vectors().tobytes()
+
+
+def _run_python(script: str, *args) -> subprocess.CompletedProcess:
+    """*script* run by a fresh interpreter that imports this samplerank, with a time limit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(samplerank.__file__)), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+class TestFiles:
+    """A binary corpus maps its file; ``save_embeddings`` replaces a file rather than rewrite it."""
+
+    def test_saving_over_a_mapped_corpus_leaves_it_whole(self, tmp_path):
+        """In a child process, so that a read past a cut file (SIGBUS) fails this test instead of ending pytest."""
+        run = _run_python("""
+            import sys
+            import numpy as np
+            from samplerank.data import Corpus, load_embeddings, save_embeddings
+            path, rng = sys.argv[1], np.random.default_rng(14)
+            first = Corpus(columns=(np.arange(4000), rng.normal(size=(4000, 64)).astype(np.float32),
+                                    rng.uniform(size=4000), np.zeros(4000)))
+            save_embeddings(first, path)
+            loaded = load_embeddings(path)  # its vectors view the file's 1 MB map
+            save_embeddings(Corpus(columns=([7], np.ones((1, 64), np.float32), [0.5], [0])), path)
+            assert loaded == first and loaded.vectors().tobytes() == first.vectors().tobytes()
+            assert load_embeddings(path).ids.tolist() == [7]
+        """, tmp_path / "c.emb")
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupt"])
+    def test_a_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"old")
+
+        def write_half(corpus, written):
+            with open(written, "w") as fh:
+                fh.write("id,split")
+            raise error
+
+        monkeypatch.setattr(data_module, "_save_csv", write_half)
+        with pytest.raises(type(error)) as err:
+            save_embeddings(_random_corpus(np.random.default_rng(15)), path, "csv")
+        if isinstance(error, OSError):  # named as the caller gave it, not as the new file's name
+            assert str(err.value) == f"[Errno 28] No space left on device: '{path}'"
+        assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["c.csv"]
+
+    def test_a_written_file_has_the_mode_a_plain_open_gives(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        save_embeddings(_random_corpus(np.random.default_rng(15)), tmp_path / "c.emb")
+        assert (tmp_path / "c.emb").stat().st_mode == (tmp_path / "plain").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["c.emb", "plain"]
+
+    @pytest.mark.parametrize("form", ["binary", "csv"])
+    def test_a_write_into_a_missing_directory_names_the_path(self, tmp_path, form):
+        path = tmp_path / "missing" / "c.emb"
+        with pytest.raises(FileNotFoundError) as err:
+            save_embeddings(_random_corpus(np.random.default_rng(15)), path, form)
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_load_refuses_a_directory_and_a_pipe_without_blocking(self, tmp_path):
+        """In a child process with a time limit, so that an open that waits for a writer fails this test."""
+        os.mkfifo(tmp_path / "pipe.csv")
+        run = _run_python("""
+            import sys
+            from samplerank.data import DataFormatError, load_embeddings
+            for path in sys.argv[1:]:
+                try:
+                    load_embeddings(path)
+                except DataFormatError as exc:
+                    print(exc)
+        """, tmp_path, tmp_path / "pipe.csv")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [f"{path}: not a regular file" for path in (tmp_path, tmp_path / "pipe.csv")]
 
 
 class TestColumnarCorpus:
@@ -409,6 +623,37 @@ class TestColumnarCorpus:
         finally:
             tracemalloc.stop()
         assert len(pool) == 8800 and held < 0.6 * 2**20
+
+    def test_a_loaded_binary_corpus_holds_its_file_mapped(self, tmp_path):
+        """2,000 x 128 binary corpus, a 1.05 MB file: its columns view the map, and only its splits are built.
+        Held on the heap after the load: 1.05 MB (the whole file) when the file was read, 3.5 kB mapped."""
+        rng = np.random.default_rng(16)
+        path = tmp_path / "c.emb"
+        save_embeddings(Corpus(columns=(np.arange(2000), rng.normal(size=(2000, 128)).astype(np.float32),
+                                        rng.uniform(size=2000), np.zeros(2000))), path)
+        tracemalloc.start()
+        try:
+            corpus = load_embeddings(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 2000 and held < 0.05 * path.stat().st_size
+
+    def test_a_csv_load_peaks_near_its_columns(self, tmp_path):
+        """1,000 x 512 pool CSV, 6.5 MB for 2.06 MB of columns: the reader holds one piece of the file and its
+        lines, never the whole file or a list of every line. Peak over columns: 7.34 read whole, 2.09 in pieces."""
+        rng = np.random.default_rng(17)
+        path = tmp_path / "pool.csv"
+        save_embeddings(Corpus(columns=(np.arange(1000), rng.normal(size=(1000, 512)).astype(np.float32),
+                                        np.full(1000, np.nan), np.ones(1000))), path, "csv")
+        tracemalloc.start()
+        try:
+            pool = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = pool.ids.nbytes + pool.vectors().nbytes + pool._ious.nbytes + pool.splits.nbytes
+        assert len(pool) == 1000 and peak < 3 * columns
 
     @pytest.mark.parametrize("form", ["binary", "csv", "mixed-csv"])
     def test_records_edge_round_trips(self, tmp_path, form):
