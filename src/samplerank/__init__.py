@@ -30,13 +30,7 @@ from .loop import fit_loop
 from .pca import PcaModel, explained_variance_ratio, fit_pca, transform_batch
 from .config import Config
 from .pipeline import compute_scores, fit_models, score_finetune
-from .scoring import (
-    Scores,
-    bps,
-    mps,
-    rank,
-    score_all,
-)
+from .scoring import Scores, rank, score_all
 from .synthetic import (
     CoreClusterSpec,
     GroundTruth,

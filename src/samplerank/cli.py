@@ -23,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import harness, metrics, pca, pipeline, scoring
-from .config import STRATEGY_BPS, STRATEGY_MPS, Config, ConfigError, dump_config, load_config
+from .config import STRATEGIES, Config, ConfigError, dump_config, load_config
 from .data import SPLIT_CORE, SPLIT_FINETUNE, SPLITS, DataFormatError, load_embeddings
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--finetune", dest="finetune_embeddings", help=finetune_help)
     rank = command("rank", cmd_rank, "rank fine-tuning samples into a queue CSV")
     rank.add_argument("--finetune", dest="finetune_embeddings", help=finetune_help)
-    rank.add_argument("--strategy", choices=[STRATEGY_BPS, STRATEGY_MPS], help="ranking formula")
+    rank.add_argument("--strategy", choices=STRATEGIES, help="ranking formula")
     command("simulate", cmd_simulate, "run the synthetic budget-sweep benchmark")
     command("scatter", cmd_scatter, "export the 2-component latent scatter of synthetic data")
     report = command("report", cmd_report, "summarise an existing sweep.csv")
@@ -79,8 +79,6 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
     """Load a non-empty corpus of *what* records, of length *dimension* if it is given."""
     if not path:
         raise ConfigError(f"no {what} embeddings path configured")
-    if not os.path.isfile(path):  # opening a FIFO blocks until a writer appears; a directory is no file
-        raise FileNotFoundError(f"{what} embeddings file not found: {path}")
     corpus = load_embeddings(path)
     if len(corpus) == 0:
         raise DataFormatError(f"{path}: no records")
@@ -95,12 +93,10 @@ def _load_corpus(path: str, what: str, dimension: int | None = None):
 
 
 def cmd_fit(config: Config, args) -> int:
-    # the pool is read first, so a fault in both files names the pool's
-    read_pool = config.finetune_embeddings and os.path.isfile(config.core_embeddings)  # else the core's load refuses
-    pool = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE) if read_pool else None
     core = _load_corpus(config.core_embeddings, SPLIT_CORE)
-    if pool is not None and pool.dimension != core.dimension:
-        raise DataFormatError(f"{config.finetune_embeddings}: dimension {pool.dimension}, expected {core.dimension}")
+    pool = None
+    if config.finetune_embeddings:
+        pool = _load_corpus(config.finetune_embeddings, SPLIT_FINETUNE, core.dimension)
     try:
         models = pipeline.fit_models(core, pool, config)
     except ValueError as exc:  # name the files the models were fitted on

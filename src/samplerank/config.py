@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .data import DataFormatError, read_utf8
 from .metrics import DEFAULT_KNN_K
 from .loop import DEFAULT_LOOP_K, DEFAULT_LOOP_LAMBDA
 from .pca import DEFAULT_VARIANCE_THRESHOLD
@@ -20,6 +21,7 @@ from .synthetic import NovelClusterSpec, SyntheticSpec, default_spec
 
 STRATEGY_BPS = "bps"
 STRATEGY_MPS = "mps"
+STRATEGIES = (STRATEGY_BPS, STRATEGY_MPS)  # the priority formulas a queue can be ranked by
 
 # range rules; every float setting must also be finite
 _AT_LEAST_0 = ("seed", "pca_components", "cluster_k", "cluster_k_err", "cluster_k_ft")
@@ -86,7 +88,7 @@ class Config:
                 raise ConfigError(f"{weights[0][:3]} coefficients must sum to 1 (within 1e-9)")
         if not 0.0 < self.pca_variance_threshold <= 1.0:
             raise ConfigError("pca.variance_threshold must lie in (0, 1]")
-        if self.strategy not in (STRATEGY_BPS, STRATEGY_MPS):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be '{STRATEGY_BPS}' or '{STRATEGY_MPS}'")
         if not self.sim_budgets:
             raise ConfigError("sim.budgets is empty")
@@ -177,9 +179,8 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     values: dict[str, object] = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+            text = read_utf8(path)
+        except (OSError, DataFormatError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values.update(parse_config_text(text, source=str(path)))
     if overrides:

@@ -169,6 +169,14 @@ def _first_fault(vectors: np.ndarray, ious, splits, ids) -> tuple[int, str] | No
                    "core records require measured_iou", f"duplicate id {ids[index]}")[check]
 
 
+def _open_regular(path):
+    """*path* opened for binary reading once a ``stat`` shows a regular file; a directory or a named pipe
+    raises DataFormatError naming it, and a pipe is never opened, which would block until a writer appears."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataFormatError(f"{path}: not a regular file")
+    return open(path, "rb")
+
+
 def write_binary_file(path, layout, counts, arrays) -> bytes | None:
     """Write the header *counts* and the payload *arrays* in *layout*, as ``read_binary_file`` reads them,
     or with *path* None return the bytes. A float its dtype cannot hold becomes inf, which the reader refuses."""
@@ -194,7 +202,7 @@ def read_binary_file(path, kind: str, layout, blob: bytes | None = None):
     """
     magic, header, payload = layout
     if blob is None:
-        with open(path, "rb") as fh:
+        with _open_regular(path) as fh:
             blob = fh.read()
     if blob[:4] != magic:
         raise DataFormatError(f"{path}: not {kind} file")
@@ -242,10 +250,9 @@ def save_embeddings(corpus: Corpus, path, format: str = "binary") -> None:
 
 def load_embeddings(path) -> Corpus:
     """Load a corpus: binary when the file starts with the ``EMB1`` magic, CSV otherwise."""
-    info = os.stat(path)  # not open, which blocks on a FIFO until a writer appears; mmap refuses an empty file
-    if not (stat.S_ISREG(info.st_mode) and info.st_size):
-        raise DataFormatError(f"{path}: {'empty file' if stat.S_ISREG(info.st_mode) else 'not a regular file'}")
-    with open(path, "rb") as fh:
+    with _open_regular(path) as fh:
+        if not os.fstat(fh.fileno()).st_size:  # mmap refuses an empty file
+            raise DataFormatError(f"{path}: empty file")
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     with nullcontext() if buf[:4] == _EMB_MAGIC else buf:  # a binary corpus's columns view the map; a CSV closes it
         columns = _load_binary(path, buf) if buf[:4] == _EMB_MAGIC else _load_csv(path, buf)
@@ -292,7 +299,7 @@ def _save_csv(corpus: Corpus, path) -> None:
 def read_utf8(path, blob: bytes | None = None) -> str:
     """The text of *path*, or of its bytes *blob*; bytes that are not UTF-8 raise DataFormatError naming the line."""
     if blob is None:
-        with open(path, "rb") as fh:
+        with _open_regular(path) as fh:
             blob = fh.read()
     try:
         return blob.decode("utf-8")

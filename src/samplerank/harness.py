@@ -24,9 +24,9 @@ import numpy as np
 
 from ._dist import nearest
 from .data import Corpus, read_utf8
-from .config import Config
+from .config import STRATEGY_BPS, STRATEGY_MPS, Config
 from .pipeline import compute_scores
-from .scoring import STRATEGY_BPS, STRATEGY_MPS, rank
+from .scoring import rank
 from .synthetic import GroundTruth, SyntheticSpec, generate_synthetic
 
 STRATEGY_PRIORITY_BPS = "priority_bps"

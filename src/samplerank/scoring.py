@@ -19,46 +19,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import STRATEGY_BPS, STRATEGY_MPS, Config
+from .config import STRATEGIES, STRATEGY_BPS, Config
 from .data import read_only
 
-_STRATEGIES = (STRATEGY_BPS, STRATEGY_MPS)
 
-
-def _check_unit(ids=None, **features) -> None:
-    """Reject the first sample, in order, with a feature outside [0,1] or NaN."""
-    names = list(features)
-    columns = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in features.values()))
-    bad = np.stack([~((c >= 0.0) & (c <= 1.0)) for c in columns], axis=-1).reshape(-1, len(names))
+def _check_unit(ids, features: dict[str, np.ndarray]) -> None:
+    """Reject the first sample, in order, with a feature outside [0,1] or NaN; *features* maps each
+    name to its float64 column, all of one length and aligned with *ids*."""
+    bad = np.stack([~((column >= 0.0) & (column <= 1.0)) for column in features.values()], axis=-1)
     if bad.any():
         sample, which = np.argwhere(bad)[0]
-        where = "" if ids is None else f"sample {np.asarray(ids)[sample]}: "
-        value = columns[which].reshape(-1)[sample]
-        raise ValueError(f"{where}{names[which]}={value} outside [0,1]")
-
-
-def _basic(dist, pred_iou, p: Config):
-    return p.bps_a * dist + p.bps_b * (1.0 - pred_iou)
-
-
-def _multiparty(orph, err, dist, pred_iou, loop, p: Config):
-    inner = p.mps_a * orph + p.mps_b * err + p.mps_c * dist + p.mps_d * (1.0 - pred_iou)
-    return inner * (1.0 - loop)
-
-
-def bps(dist, pred_iou, params: Config = Config()):
-    """Basic priority: far from every known cluster and predicted to score poorly.
-
-    Takes scalars or equal-shape arrays and returns the same shape.
-    """
-    _check_unit(dist=dist, pred_iou=pred_iou)
-    return _basic(dist, pred_iou, params)
-
-
-def mps(orph, err, dist, pred_iou, loop, params: Config = Config()):
-    """Multiparty priority with outlier suppression; scalars or equal-shape arrays."""
-    _check_unit(orph=orph, err=err, dist=dist, pred_iou=pred_iou, loop=loop)
-    return _multiparty(orph, err, dist, pred_iou, loop, params)
+        name = list(features)[which]
+        raise ValueError(f"sample {np.asarray(ids)[sample]}: {name}={features[name][sample]} outside [0,1]")
 
 
 @dataclass(frozen=True)
@@ -90,21 +62,22 @@ class Scores:
 
 
 def score_all(ids, dist, pred_iou, loop, orph, err, params: Config = Config()) -> Scores:
-    """Evaluate both formulas over feature columns aligned with *ids*."""
-    dist, pred_iou, loop, orph, err = (
-        np.asarray(c, dtype=np.float64) for c in (dist, pred_iou, loop, orph, err)
-    )
-    _check_unit(ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err)
+    """Evaluate both formulas over feature columns aligned with *ids*: the one place they are written."""
+    features = dict(dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err)
+    features = {name: np.asarray(column, dtype=np.float64) for name, column in features.items()}
+    _check_unit(ids, features)
+    dist, pred_iou, loop, orph, err = features.values()
+    p = params
     return Scores(
-        ids=ids, dist=dist, pred_iou=pred_iou, loop=loop, orph=orph, err=err,
-        bps=_basic(dist, pred_iou, params),
-        mps=_multiparty(orph, err, dist, pred_iou, loop, params),
+        ids=ids, **features,
+        bps=p.bps_a * dist + p.bps_b * (1.0 - pred_iou),
+        mps=(p.mps_a * orph + p.mps_b * err + p.mps_c * dist + p.mps_d * (1.0 - pred_iou)) * (1.0 - loop),
     )
 
 
 def _order(scores: Scores, which: str) -> np.ndarray:
-    if which not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {which!r}, expected one of {_STRATEGIES}")
+    if which not in STRATEGIES:
+        raise ValueError(f"unknown strategy {which!r}, expected one of {STRATEGIES}")
     if len(scores) == 0:
         raise ValueError("cannot rank an empty score list")
     return np.lexsort((scores.ids, -getattr(scores, which)))

@@ -23,7 +23,7 @@ from samplerank.harness import (
 from samplerank.loop import fit_loop
 from samplerank.metrics import iou
 from samplerank.pca import explained_variance_ratio, fit_pca, transform_batch
-from samplerank.scoring import bps, mps
+from samplerank.scoring import score_all
 from samplerank.synthetic import default_spec
 
 BUDGET_STEP = list(range(250, 2151, 100))
@@ -152,34 +152,28 @@ def test_criterion_6_loop_fixture():
 
 
 def test_criterion_7_score_formulas():
-    exact = (
-        bps(1.0, 0.0) == 1.0
-        and bps(0.0, 1.0) == 0.0
-        and math.isclose(bps(0.4, 0.8), 0.35, abs_tol=1e-12)
-    )
+    def scores(n, orph=0.0, err=0.0, dist=0.0, pred=0.0, lp=0.0):
+        """Both priorities of n samples; a feature is a column or one value for all of them."""
+        return score_all(np.arange(n), *(np.broadcast_to(f, n) for f in (dist, pred, lp, orph, err)))
 
-    rng = np.random.default_rng(44)
-    suppressed = all(
-        mps(*rng.uniform(size=4), loop=1.0) == 0.0 for _ in range(100)
-    )
-    in_range = True
-    for _ in range(10_000):
-        orph, err, dist, pred, lp = rng.uniform(size=5)
-        in_range &= 0.0 <= bps(dist, pred) <= 1.0
-        in_range &= 0.0 <= mps(orph, err, dist, pred, lp) <= 1.0
+    hand = scores(3, dist=[1.0, 0.0, 0.4], pred=[0.0, 1.0, 0.8]).bps
+    exact = hand[0] == 1.0 and hand[1] == 0.0 and math.isclose(hand[2], 0.35, abs_tol=1e-12)
 
-    monotone = True
-    for _ in range(300):
-        orph, err, dist, pred, lp = rng.uniform(0.05, 0.95, size=5)
-        eps = 0.04
-        monotone &= bps(dist + eps, pred) >= bps(dist, pred)
-        monotone &= bps(dist, pred + eps) <= bps(dist, pred)
-        base = mps(orph, err, dist, pred, lp)
-        monotone &= mps(orph + eps, err, dist, pred, lp) >= base
-        monotone &= mps(orph, err + eps, dist, pred, lp) >= base
-        monotone &= mps(orph, err, dist + eps, pred, lp) >= base
-        monotone &= mps(orph, err, dist, pred + eps, lp) <= base
-        monotone &= mps(orph, err, dist, pred, lp + eps) <= base
+    rng = np.random.default_rng(44)  # the draws of 100, 10,000 and 300 calls of size 4, 5 and 5, in turn
+    suppressed = bool((scores(100, *rng.uniform(size=(100, 4)).T, lp=1.0).mps == 0.0).all())
+    drawn = scores(10_000, *rng.uniform(size=(10_000, 5)).T)
+    in_range = all(((0.0 <= s) & (s <= 1.0)).all() for s in (drawn.bps, drawn.mps))
+
+    features = rng.uniform(0.05, 0.95, size=(300, 5)).T  # orph, err, dist, pred, lp
+    eps = 0.04
+    base = scores(300, *features)
+    moved = [scores(300, *(f + eps * (j == i) for j, f in enumerate(features))) for i in range(5)]
+    monotone = (
+        (moved[2].bps >= base.bps).all()
+        and (moved[3].bps <= base.bps).all()
+        and all((moved[i].mps >= base.mps).all() for i in (0, 1, 2))
+        and all((moved[i].mps <= base.mps).all() for i in (3, 4))
+    )
 
     _check(
         7,

@@ -2,11 +2,14 @@
 
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import samplerank
 from samplerank.cli import main
 from samplerank.clustering import load_clusters
 from samplerank.data import Corpus, EmbeddingRecord, load_embeddings, save_embeddings
@@ -86,7 +89,30 @@ class TestFitAndRank:
         (tmp_path / "dir.emb").mkdir()
         for name in ("pipe.emb", "dir.emb"):
             assert main(["--out-dir", str(tmp_path), "fit", "--core", str(tmp_path / name)]) == 2
-            assert f"core embeddings file not found: {tmp_path / name}" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"samplerank: error: {tmp_path / name}: not a regular file\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("kind", ["pipe", "directory"])
+    @pytest.mark.parametrize("reader", ["rank", "report", "config"])
+    def test_pipe_or_directory_as_any_input_file_exits_naming_it(self, tmp_path, reader, kind):
+        """A model file, a sweep file and a config file, each read by a child process with a time limit,
+        so that an open that waits for a writer fails this test instead of hanging it."""
+        path = tmp_path / "pca.bin"
+        if kind == "pipe":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        refused = f"{path}: not a regular file"
+        args, code, message = {
+            "rank": (["--out-dir", tmp_path, "rank"], 2, f"error: {refused}"),
+            "report": (["--out-dir", tmp_path / "out", "report", "--sweep", path], 2, f"error: {refused}"),
+            "config": (["--config", path, "rank"], 1, f"config error: cannot read config file {path}: {refused}"),
+        }[reader]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(samplerank.__file__)), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "samplerank.cli", *map(str, args)],
+                             capture_output=True, text=True, timeout=120, env=env)
+        assert (run.returncode, run.stderr) == (code, f"samplerank: {message}\n")
 
     def test_rank_produces_full_queue(self, embedding_files, tmp_path):
         core, ft = embedding_files
@@ -302,14 +328,16 @@ class TestInputErrors:
         (tmp_path / "bad.emb").write_bytes(b"EMB1" + struct.pack("<IIB", 0, 3, 2))
         core, pool = tmp_path / "core.emb", tmp_path / pool
         assert main(["--out-dir", str(tmp_path / "out"), "fit", "--core", str(core), "--finetune", str(pool)]) == 2
-        assert capsys.readouterr().err == f"samplerank: error: core embeddings file not found: {core}\n"
+        assert capsys.readouterr().err == f"samplerank: error: [Errno 2] No such file or directory: '{core}'\n"
 
-    def test_fit_names_the_pool_when_both_files_hold_faults(self, embedding_files, tmp_path, capsys):
+    def test_fit_names_the_core_when_both_files_hold_faults(self, embedding_files, tmp_path, capsys):
         _, ft = embedding_files  # a pool file given as the core: its first record has the wrong split
         pool = tmp_path / "bad.emb"
         pool.write_bytes(b"EMB1" + struct.pack("<IIB", 0, 3, 2))
         assert main(["--out-dir", str(tmp_path / "out"), "fit", "--core", str(ft), "--finetune", str(pool)]) == 2
-        assert capsys.readouterr().err == f"samplerank: error: {pool}: unknown split flag 2\n"  # the pool is read first
+        first = load_embeddings(ft).ids[0]  # the core is read first
+        expected = f"samplerank: error: {ft}: record 0 (id {first}) is a finetune record, expected core\n"
+        assert capsys.readouterr().err == expected
 
     def test_finetune_split_core_exits_2_naming_file_and_record(self, embedding_files, tmp_path, capsys):
         _, ft = embedding_files

@@ -571,19 +571,26 @@ class TestFiles:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_load_refuses_a_directory_and_a_pipe_without_blocking(self, tmp_path):
-        """In a child process with a time limit, so that an open that waits for a writer fails this test."""
+        """``load_embeddings``, ``read_utf8`` and ``read_binary_file``, in a child process with a time limit, so
+        that an open that waits for a writer fails this test."""
         os.mkfifo(tmp_path / "pipe.csv")
         run = _run_python("""
             import sys
-            from samplerank.data import DataFormatError, load_embeddings
-            for path in sys.argv[1:]:
-                try:
-                    load_embeddings(path)
-                except DataFormatError as exc:
-                    print(exc)
+            from samplerank.data import _EMB_LAYOUT, DataFormatError, load_embeddings, read_binary_file, read_utf8
+
+            def read_binary(path):
+                with read_binary_file(path, "an embedding", _EMB_LAYOUT):
+                    pass
+
+            for read in (load_embeddings, read_utf8, read_binary):
+                for path in sys.argv[1:]:
+                    try:
+                        read(path)
+                    except DataFormatError as exc:
+                        print(exc)
         """, tmp_path, tmp_path / "pipe.csv")
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == [f"{path}: not a regular file" for path in (tmp_path, tmp_path / "pipe.csv")]
+        assert run.stdout.splitlines() == [f"{path}: not a regular file" for path in (tmp_path, tmp_path / "pipe.csv")] * 3
 
 
 class TestColumnarCorpus:

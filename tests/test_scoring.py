@@ -7,14 +7,21 @@ import pytest
 
 from samplerank import scoring
 from samplerank.config import Config, ConfigError
-from samplerank.scoring import (
-    Scores,
-    bps,
-    mps,
-    rank,
-    score_all,
-    write_queue_csv,
-)
+from samplerank.scoring import Scores, rank, score_all, write_queue_csv
+
+FEATURES = ("dist", "pred_iou", "loop", "orph", "err")
+
+
+def _reference(dist, pred_iou, loop, orph, err, c: Config = Config()) -> tuple[float, float]:
+    """Both priorities of one sample, written from the paper's formulas and evaluated in Python floats."""
+    basic = c.bps_a * dist + c.bps_b * (1 - pred_iou)
+    multiparty = (c.mps_a * orph + c.mps_b * err + c.mps_c * dist + c.mps_d * (1 - pred_iou)) * (1 - loop)
+    return basic, multiparty
+
+
+def _score(n=1, **features) -> Scores:
+    """``score_all`` over samples 0..n-1; a feature is a column or one value for every sample, 0 when not given."""
+    return score_all(np.arange(n), **{name: np.broadcast_to(features.get(name, 0.0), n) for name in FEATURES})
 
 
 class TestWeights:
@@ -37,63 +44,55 @@ class TestWeights:
 
 class TestBasicScore:
     def test_maximum_case(self):
-        assert bps(1.0, 0.0) == 1.0
+        assert _score(dist=1.0, pred_iou=0.0).bps.tolist() == [1.0]
 
     def test_minimum_case(self):
-        assert bps(0.0, 1.0) == 0.0
+        assert _score(dist=0.0, pred_iou=1.0).bps.tolist() == [0.0]
 
     def test_hand_value_with_default_coefficients(self):
-        assert bps(0.4, 0.8) == pytest.approx(0.35)
+        assert _score(dist=0.4, pred_iou=0.8).bps[0] == pytest.approx(0.35)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            bps(1.2, 0.5)
+            _score(dist=1.2, pred_iou=0.5)
         with pytest.raises(ValueError, match="outside"):
-            bps(0.5, -0.1)
+            _score(dist=0.5, pred_iou=-0.1)
 
 
 class TestMultipartyScore:
     def test_full_outlier_suppression(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            orph, err, dist, pred = rng.uniform(size=4)
-            assert mps(orph, err, dist, pred, loop=1.0) == 0.0
+        orph, err, dist, pred = np.random.default_rng(0).uniform(size=(50, 4)).T
+        assert (_score(50, orph=orph, err=err, dist=dist, pred_iou=pred, loop=1.0).mps == 0.0).all()
 
     def test_hand_value_with_default_coefficients(self):
-        assert mps(1.0, 0.0, 1.0, 0.0, 0.0) == pytest.approx(0.75)
+        assert _score(orph=1.0, dist=1.0).mps[0] == pytest.approx(0.75)
 
     def test_only_iou_term_fires_on_zero_features(self):
-        assert mps(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(0.05)
+        assert _score().mps[0] == pytest.approx(0.05)
 
     def test_range_over_random_inputs(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10_000):
-            orph, err, dist, pred, lp = rng.uniform(size=5)
-            value = mps(orph, err, dist, pred, lp)
-            basic = bps(dist, pred)
-            assert 0.0 <= value <= 1.0 and 0.0 <= basic <= 1.0
+        orph, err, dist, pred, lp = np.random.default_rng(1).uniform(size=(10_000, 5)).T
+        s = _score(10_000, orph=orph, err=err, dist=dist, pred_iou=pred, loop=lp)
+        assert ((0.0 <= s.mps) & (s.mps <= 1.0) & (0.0 <= s.bps) & (s.bps <= 1.0)).all()
 
     def test_monotonicity_by_pairwise_perturbation(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            orph, err, dist, pred, lp = rng.uniform(0.05, 0.95, size=5)
-            eps = 0.04
-            base_b = bps(dist, pred)
-            base_m = mps(orph, err, dist, pred, lp)
-            assert bps(dist + eps, pred) >= base_b
-            assert bps(dist, pred + eps) <= base_b
-            assert mps(orph + eps, err, dist, pred, lp) >= base_m
-            assert mps(orph, err + eps, dist, pred, lp) >= base_m
-            assert mps(orph, err, dist + eps, pred, lp) >= base_m
-            assert mps(orph, err, dist, pred + eps, lp) <= base_m
-            assert mps(orph, err, dist, pred, lp + eps) <= base_m
+        features = dict(zip(("orph", "err", "dist", "pred_iou", "loop"),
+                            np.random.default_rng(2).uniform(0.05, 0.95, size=(300, 5)).T))
+        eps = 0.04
+        base = _score(300, **features)
+        moved = {name: _score(300, **{**features, name: features[name] + eps}) for name in features}
+        assert (moved["dist"].bps >= base.bps).all()
+        assert (moved["pred_iou"].bps <= base.bps).all()
+        for name in ("orph", "err", "dist"):
+            assert (moved[name].mps >= base.mps).all(), name
+        for name in ("pred_iou", "loop"):
+            assert (moved[name].mps <= base.mps).all(), name
 
 
 def _features(n, seed):
     """Random feature columns for ids 0..n-1."""
     rng = np.random.default_rng(seed)
-    names = ("dist", "pred_iou", "loop", "orph", "err")
-    return dict(ids=np.arange(n), **{name: rng.uniform(size=n) for name in names})
+    return dict(ids=np.arange(n), **{name: rng.uniform(size=n) for name in FEATURES})
 
 
 class TestScoreAll:
@@ -105,15 +104,13 @@ class TestScoreAll:
     def test_single_sample_is_recomputable(self):
         s = score_all(ids=[3], dist=[0.2], pred_iou=[0.6], loop=[0.1], orph=[0.5], err=[0.0])
         assert s.ids.tolist() == [3]
-        assert s.bps.tolist() == [bps(0.2, 0.6)]
-        assert s.mps.tolist() == [mps(0.5, 0.0, 0.2, 0.6, 0.1)]
+        assert (s.bps.tolist(), s.mps.tolist()) == tuple([v] for v in _reference(0.2, 0.6, 0.1, 0.5, 0.0))
 
-    def test_columns_match_scalar_formula_calls_exactly(self):
+    def test_columns_match_the_paper_formulas_exactly(self):
         f = _features(200, seed=6)
         s = score_all(**f)
         for i in range(200):
-            assert s.bps[i] == bps(float(f["dist"][i]), float(f["pred_iou"][i]))
-            assert s.mps[i] == mps(*(float(f[n][i]) for n in ("orph", "err", "dist", "pred_iou", "loop")))
+            assert (s.bps[i], s.mps[i]) == _reference(*(float(f[name][i]) for name in FEATURES))
 
     def test_bps_ordering_follows_dist_when_other_features_equal(self):
         zeros = np.zeros(3)
@@ -136,9 +133,9 @@ class TestScoreAll:
 
     def test_features_are_checked_once(self, monkeypatch):
         calls, check = [], scoring._check_unit
-        monkeypatch.setattr(scoring, "_check_unit", lambda *a, **kw: calls.append(kw) or check(*a, **kw))
+        monkeypatch.setattr(scoring, "_check_unit", lambda ids, cols: calls.append(cols) or check(ids, cols))
         score_all(**_features(5, seed=9))
-        assert [sorted(kw) for kw in calls] == [["dist", "err", "loop", "orph", "pred_iou"]]
+        assert [sorted(features) for features in calls] == [["dist", "err", "loop", "orph", "pred_iou"]]
 
     def test_columns_are_read_only_and_equal_length(self):
         s = score_all(**_features(4, seed=8))
